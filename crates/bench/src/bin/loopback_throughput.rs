@@ -60,7 +60,8 @@ fn spec(n: usize) -> ClusterSpec {
         detector: DetectorConfig::from_millis(200.0, 2000.0, 1000.0),
         round_timeout: Duration::from_millis(30_000.0),
         rebuild_timeout: Duration::from_millis(30_000.0),
-        capture_delay: Duration::from_millis(5.0),
+        // The shipped default: capture the moment the round opens.
+        capture_delay: Duration::from_millis(0.0),
     }
 }
 

@@ -25,6 +25,7 @@ use dvdc_parity::gf256::Tables;
 use dvdc_parity::raid5::XorCode;
 use dvdc_parity::rdp::ZeroPaddedRdp;
 use dvdc_parity::rs::ReedSolomon;
+use dvdc_simcore::hash::{splitmix64, GOLDEN};
 use serde::Serialize;
 
 /// Data shards per group — matches the protocol benches' group width.
@@ -53,11 +54,8 @@ struct ThroughputReport {
 /// Deterministic pseudo-random fill (SplitMix64) — no RNG dependency.
 fn fill(buf: &mut [u8], mut state: u64) {
     for chunk in buf.chunks_mut(8) {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let bytes = (z ^ (z >> 31)).to_le_bytes();
+        let bytes = splitmix64(state).to_le_bytes();
+        state = state.wrapping_add(GOLDEN);
         let n = chunk.len();
         chunk.copy_from_slice(&bytes[..n]);
     }

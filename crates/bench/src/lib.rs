@@ -4,9 +4,9 @@
 //! reproduction.
 //!
 //! Each binary in `src/bin/` regenerates one figure, table, or prose claim
-//! from the paper (see the experiment index in `DESIGN.md`); the Criterion
-//! benches in `benches/` measure the hot kernels and protocol rounds. This
-//! library holds the small amount of shared output plumbing.
+//! from the paper, or measures one subject such as the parity kernels (see
+//! the experiment index in `DESIGN.md`). This library holds the small
+//! amount of shared output plumbing.
 
 #![forbid(unsafe_code)]
 

@@ -289,7 +289,7 @@ mod tests {
                 .into_iter()
                 .map(|(index, bytes)| crate::payload::PageDelta {
                     index,
-                    bytes: bytes::Bytes::from(bytes),
+                    bytes: std::sync::Arc::from(bytes),
                 })
                 .collect(),
         }
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn xor_runs_absent_for_full_payloads() {
         let p = CheckpointPayload::Full {
-            image: bytes::Bytes::from(vec![1u8; 32]),
+            image: std::sync::Arc::from(vec![1u8; 32]),
             page_size: 16,
         };
         assert_eq!(xor_runs(&p, &[0u8; 32]), None);

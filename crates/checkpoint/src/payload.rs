@@ -5,7 +5,8 @@
 //! payload size is the quantity every cost model downstream consumes: it
 //! is what crosses the network and what feeds the parity XOR.
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use dvdc_vcluster::ids::VmId;
 
 /// One dirtied page: its index and its post-write contents.
@@ -14,7 +15,7 @@ pub struct PageDelta {
     /// Page index within the VM image.
     pub index: usize,
     /// Full page contents after the write.
-    pub bytes: Bytes,
+    pub bytes: Arc<[u8]>,
 }
 
 /// The data portion of a checkpoint.
@@ -23,7 +24,7 @@ pub enum CheckpointPayload {
     /// The complete memory image.
     Full {
         /// Image bytes.
-        image: Bytes,
+        image: Arc<[u8]>,
         /// Page size used to slice the image.
         page_size: usize,
     },
@@ -155,7 +156,7 @@ mod tests {
 
     fn full(image: Vec<u8>, page_size: usize) -> CheckpointPayload {
         CheckpointPayload::Full {
-            image: Bytes::from(image),
+            image: Arc::from(image),
             page_size,
         }
     }
@@ -179,11 +180,11 @@ mod tests {
             pages: vec![
                 PageDelta {
                     index: 1,
-                    bytes: Bytes::from(vec![1u8; 16]),
+                    bytes: Arc::from(vec![1u8; 16]),
                 },
                 PageDelta {
                     index: 3,
-                    bytes: Bytes::from(vec![2u8; 16]),
+                    bytes: Arc::from(vec![2u8; 16]),
                 },
             ],
         };
@@ -209,7 +210,7 @@ mod tests {
             image_len: 48,
             pages: vec![PageDelta {
                 index: 2,
-                bytes: Bytes::from(vec![5u8; 16]),
+                bytes: Arc::from(vec![5u8; 16]),
             }],
         };
         let got = p.apply_to(&base);
@@ -238,7 +239,7 @@ mod tests {
             image_len: 32,
             pages: vec![PageDelta {
                 index: 2,
-                bytes: Bytes::from(vec![0u8; 16]),
+                bytes: Arc::from(vec![0u8; 16]),
             }],
         };
         let _ = p.apply_to(&[0u8; 32]);

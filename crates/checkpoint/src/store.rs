@@ -15,6 +15,7 @@ use std::fmt;
 
 use crate::integrity;
 use crate::payload::Checkpoint;
+use dvdc_simcore::hash::fnv64;
 use dvdc_vcluster::ids::VmId;
 
 /// Errors from applying checkpoints to a store.
@@ -69,7 +70,7 @@ struct Entry {
 
 impl Entry {
     fn new(epoch: u64, image: Vec<u8>) -> Self {
-        let checksum = integrity::checksum(&image);
+        let checksum = fnv64(&image);
         Entry {
             epoch,
             image,
@@ -114,7 +115,7 @@ impl MaterializedStore {
                 }
                 entry.image = ckpt.payload.apply_to(&entry.image);
                 entry.epoch = ckpt.epoch;
-                entry.checksum = integrity::checksum(&entry.image);
+                entry.checksum = fnv64(&entry.image);
                 Ok(())
             }
         }
@@ -346,7 +347,7 @@ impl<K: Ord + Copy> ParityStore<K> {
 
     /// Writes `block` into the working generation.
     pub fn stage(&mut self, key: K, block: Vec<u8>) {
-        self.current_sums.insert(key, integrity::checksum(&block));
+        self.current_sums.insert(key, fnv64(&block));
         self.current.insert(key, block);
     }
 
@@ -354,7 +355,7 @@ impl<K: Ord + Copy> ParityStore<K> {
     /// lost holder's parity to the committed state, which is by definition
     /// also the correct working base for the next round.
     pub fn seed(&mut self, key: K, block: Vec<u8>) {
-        let sum = integrity::checksum(&block);
+        let sum = fnv64(&block);
         self.committed_sums.insert(key, sum);
         self.current_sums.insert(key, sum);
         self.committed.insert(key, block.clone());
@@ -392,7 +393,7 @@ impl<K: Ord + Copy> ParityStore<K> {
     /// incremental delta-fold path updates parity bytes in place).
     pub fn rehash_current(&mut self, key: K) {
         if let Some(block) = self.current.get(&key) {
-            self.current_sums.insert(key, integrity::checksum(block));
+            self.current_sums.insert(key, fnv64(block));
         }
     }
 

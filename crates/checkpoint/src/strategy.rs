@@ -6,7 +6,7 @@
 //! and *forked* copy-on-write needs 2I during checkpointing but lets
 //! execution continue immediately, trading overhead for latency.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::payload::{Checkpoint, CheckpointPayload, PageDelta};
 use dvdc_vcluster::ids::VmId;
@@ -82,7 +82,7 @@ impl Checkpointer {
         }
         let payload = match (self.mode, self.last_epoch[idx]) {
             (Mode::Full, _) | (_, None) => {
-                let image = Bytes::from(mem.snapshot());
+                let image = Arc::from(mem.snapshot());
                 CheckpointPayload::Full {
                     image,
                     page_size: mem.page_size(),
@@ -94,7 +94,7 @@ impl Checkpointer {
                     .into_iter()
                     .map(|i| PageDelta {
                         index: i,
-                        bytes: Bytes::copy_from_slice(mem.page(dvdc_vcluster::ids::PageIndex(i))),
+                        bytes: Arc::from(mem.page(dvdc_vcluster::ids::PageIndex(i))),
                     })
                     .collect();
                 CheckpointPayload::Incremental {

@@ -52,6 +52,7 @@ use dvdc_observe::{MetricsSnapshot, TimedEvent};
 use dvdc_parity::code::ErasureCode;
 use dvdc_parity::raid5::XorCode;
 use dvdc_parity::rs::ReedSolomon;
+use dvdc_simcore::hash::{splitmix64, GOLDEN};
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::ids::NodeId;
 use dvdc_vcluster::messaging::FenceRegistry;
@@ -550,24 +551,9 @@ impl Default for ClusterSpec {
     }
 }
 
-/// FNV-1a 64-bit digest — the cheap content fingerprint `dvdc-ctl`
-/// compares across rebuilds (byte-exactness checks use it end to end).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// The block digest `dvdc-ctl` compares across rebuilds (byte-exactness
+/// checks use it end to end) and the frame checksum.
+pub use dvdc_simcore::hash::fnv64;
 
 fn fill_pseudo(seed: u64, buf: &mut [u8]) {
     let mut s = seed;
@@ -594,8 +580,8 @@ pub fn initial_image(cluster_id: u64, node: NodeId, len: usize) -> Vec<u8> {
 /// Deterministically mutates a live image after committing `epoch` —
 /// the stand-in for guest dirty-page traffic between rounds.
 fn churn_image(cluster_id: u64, node: NodeId, epoch: u64, image: &mut [u8]) {
-    let seed = splitmix64(cluster_id ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(node.index() as u64);
+    let seed =
+        splitmix64(cluster_id ^ epoch.wrapping_mul(GOLDEN)).wrapping_add(node.index() as u64);
     let mut s = seed;
     for chunk in image.chunks_mut(8) {
         s = splitmix64(s);
@@ -603,6 +589,11 @@ fn churn_image(cluster_id: u64, node: NodeId, epoch: u64, image: &mut [u8]) {
             *b ^= (s >> (8 * i)) as u8;
         }
     }
+}
+
+/// Records a payload that will never be folded.
+fn drop_payload(from: NodeId, reason: String, out: &mut Vec<Action>) {
+    out.push(Action::Note(Note::PayloadDropped { from, reason }));
 }
 
 /// Coordinator-side bookkeeping of one open round.
@@ -631,6 +622,25 @@ struct PartRound {
     staged_image: Option<Vec<u8>>,
     payloads: BTreeMap<NodeId, Vec<u8>>,
     staged_parity: Option<Vec<u8>>,
+}
+
+/// Payloads a parity holder received before their round's `RoundBegin`:
+/// the newest such epoch only, one block per source.
+#[derive(Debug, Clone)]
+struct EarlyPayloads {
+    epoch: u64,
+    /// Source → (sender, block).
+    blocks: BTreeMap<NodeId, (NodeId, Vec<u8>)>,
+}
+
+impl EarlyPayloads {
+    /// Drops every held block, each with a note.
+    fn discard(self, out: &mut Vec<Action>) {
+        for (from, _) in self.blocks.into_values() {
+            let reason = format!("early round {} payload superseded", self.epoch);
+            drop_payload(from, reason, out);
+        }
+    }
 }
 
 /// Coordinator-side bookkeeping of one rebuild in flight.
@@ -668,6 +678,8 @@ pub struct NodeCore {
     custody: BTreeMap<NodeId, (u64, BlockKind, Vec<u8>)>,
     coord_round: Option<CoordRound>,
     part_round: Option<PartRound>,
+    /// Parity holder: payloads that overtook their round's `RoundBegin`.
+    early: Option<EarlyPayloads>,
     rebuild: Option<Rebuild>,
     /// Victims whose rebuild ended in typed data loss — not retried.
     lost: BTreeSet<NodeId>,
@@ -713,6 +725,7 @@ impl NodeCore {
             sessions: BTreeSet::new(),
             coord_round: None,
             part_round: None,
+            early: None,
             rebuild: None,
             lost: BTreeSet::new(),
             resync: None,
@@ -1584,6 +1597,7 @@ impl NodeCore {
             payloads: BTreeMap::new(),
             staged_parity: None,
         });
+        self.replay_early(epoch, out);
         // A zero capture delay fires immediately.
         if let Some(due) = self.part_round.as_ref().and_then(|r| r.capture_due) {
             if now >= due {
@@ -1689,6 +1703,7 @@ impl NodeCore {
         out: &mut Vec<Action>,
     ) {
         if !self.spec.is_parity(self.id) {
+            drop_payload(from, format!("{} holds no parity", self.id), out);
             return;
         }
         // Epoch-fenced data plane: a stale sender's blocks never land.
@@ -1704,20 +1719,92 @@ impl NodeCore {
             return;
         }
         if data.len() != self.spec.image_len {
-            out.push(Action::Note(Note::PayloadDropped {
-                from,
-                reason: format!(
-                    "block of {} bytes, expected {}",
-                    data.len(),
-                    self.spec.image_len
-                ),
-            }));
+            let reason = format!(
+                "block of {} bytes, expected {}",
+                data.len(),
+                self.spec.image_len
+            );
+            drop_payload(from, reason, out);
             return;
         }
-        let Some(r) = &mut self.part_round else {
+        match self.part_round.as_ref().map(|r| r.epoch) {
+            Some(open) if open > epoch => {
+                drop_payload(
+                    from,
+                    format!("round {epoch} payload, round {open} open"),
+                    out,
+                );
+            }
+            Some(open) if open == epoch => self.accept_payload(from, source, data, out),
+            // No round open, or an older one: the RoundBegin for `epoch`
+            // has not reached us yet.
+            _ => self.hold_payload(from, epoch, source, data, out),
+        }
+    }
+
+    /// Keeps a payload for a round this holder has not opened yet. Only
+    /// the newest epoch is held, one block per source; whatever that
+    /// displaces is dropped with a note.
+    fn hold_payload(
+        &mut self,
+        from: NodeId,
+        epoch: u64,
+        source: NodeId,
+        data: Vec<u8>,
+        out: &mut Vec<Action>,
+    ) {
+        if let Some(held) = self.early.take_if(|h| h.epoch != epoch) {
+            if held.epoch > epoch {
+                let reason = format!("early round {epoch} payload, round {} held", held.epoch);
+                drop_payload(from, reason, out);
+                self.early = Some(held);
+                return;
+            }
+            held.discard(out);
+        }
+        let held = self.early.get_or_insert_with(|| EarlyPayloads {
+            epoch,
+            blocks: BTreeMap::new(),
+        });
+        if let Some((prev, _)) = held.blocks.insert(source, (from, data)) {
+            drop_payload(prev, format!("duplicate early payload of {source}"), out);
+        }
+    }
+
+    /// Feeds the payloads held for `epoch` into the round just opened;
+    /// held payloads of an older epoch can never be used and are dropped.
+    fn replay_early(&mut self, epoch: u64, out: &mut Vec<Action>) {
+        let Some(held) = self.early.take_if(|h| h.epoch <= epoch) else {
             return;
         };
-        if r.epoch != epoch || !r.sources.contains(&source) {
+        if held.epoch < epoch {
+            held.discard(out);
+            return;
+        }
+        for (source, (from, data)) in held.blocks {
+            self.accept_payload(from, source, data, out);
+        }
+    }
+
+    /// Stores one block of the open round and, once all `k` are in,
+    /// folds this holder's parity shard and acks the coordinator.
+    fn accept_payload(
+        &mut self,
+        from: NodeId,
+        source: NodeId,
+        data: Vec<u8>,
+        out: &mut Vec<Action>,
+    ) {
+        let Some(r) = &mut self.part_round else {
+            drop_payload(from, "no round open".to_string(), out);
+            return;
+        };
+        if !r.sources.contains(&source) {
+            drop_payload(
+                from,
+                format!("{source} is not a source of round {}", r.epoch),
+                out,
+            );
             return;
         }
         r.payloads.insert(source, data);
@@ -1726,17 +1813,18 @@ impl NodeCore {
         }
         // All k blocks in: fold our shard.
         let epoch = r.epoch;
-        let blocks: Vec<Vec<u8>> = (0..self.spec.data_nodes)
+        let Some(blocks) = (0..self.spec.data_nodes)
             .map(|i| r.payloads.get(&NodeId(i)).cloned())
             .collect::<Option<Vec<_>>>()
-            .unwrap_or_default();
-        if blocks.len() != self.spec.data_nodes {
-            return; // sources didn't cover every slot — wait for more
-        }
+        else {
+            drop_payload(from, format!("round {epoch} sources miss a data slot"), out);
+            return;
+        };
         let refs: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
         let parity = self.code.encode(&refs);
         let j = self.id.index() - self.spec.data_nodes;
         let Some(shard) = parity.into_iter().nth(j) else {
+            drop_payload(from, format!("code yields no parity shard {j}"), out);
             return;
         };
         if let Some(r) = &mut self.part_round {
@@ -2001,6 +2089,102 @@ mod tests {
         )));
     }
 
+    /// A parity holder and its coordinator (node 0) with a session, plus
+    /// epoch `epoch`'s `Payload` from every data member.
+    fn holder_with_payloads(epoch: u64) -> (NodeCore, Vec<NodeId>, Vec<Msg>) {
+        let s = spec();
+        let coordinator = NodeCore::new(NodeId(0), s.clone());
+        let mut holder = NodeCore::new(NodeId(3), s.clone());
+        holder.on_message(NodeId(0), coordinator.hello(), SimTime::ZERO);
+        let sources: Vec<NodeId> = (0..s.data_nodes).map(NodeId).collect();
+        let payloads = sources
+            .iter()
+            .map(|&src| Msg::Payload {
+                epoch,
+                source: src,
+                fence_epoch: 0,
+                data: initial_image(s.cluster_id, src, s.image_len),
+            })
+            .collect();
+        (holder, sources, payloads)
+    }
+
+    fn dropped(out: &[Action]) -> usize {
+        out.iter()
+            .filter(|a| matches!(a, Action::Note(Note::PayloadDropped { .. })))
+            .count()
+    }
+
+    #[test]
+    fn payloads_before_round_begin_are_held_then_folded() {
+        let (mut holder, sources, payloads) = holder_with_payloads(1);
+        // Every block overtakes the coordinator's RoundBegin.
+        for (&src, msg) in sources.iter().zip(payloads) {
+            let out = holder.on_message(src, msg, SimTime::ZERO);
+            assert_eq!(dropped(&out), 0, "{out:?}");
+        }
+        let out = holder.on_message(
+            NodeId(0),
+            Msg::RoundBegin {
+                epoch: 1,
+                sources: sources.clone(),
+                holders: vec![NodeId(3)],
+            },
+            SimTime::ZERO,
+        );
+        assert!(
+            out.iter().any(|a| matches!(
+                a,
+                Action::Send {
+                    to: NodeId(0),
+                    msg: Msg::FoldAck {
+                        epoch: 1,
+                        node: NodeId(3)
+                    }
+                }
+            )),
+            "holder must fold the held blocks and ack: {out:?}"
+        );
+        holder.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+        let s = spec();
+        let images: Vec<Vec<u8>> = sources
+            .iter()
+            .map(|&n| initial_image(s.cluster_id, n, s.image_len))
+            .collect();
+        let refs: Vec<&[u8]> = images.iter().map(|b| b.as_slice()).collect();
+        let parity = s.code().encode(&refs);
+        assert_eq!(holder.committed(), Some((1, parity[0].as_slice())));
+    }
+
+    #[test]
+    fn held_payloads_keep_only_the_newest_epoch() {
+        let (mut holder, sources, old) = holder_with_payloads(1);
+        let (_, _, new) = holder_with_payloads(2);
+        let out = holder.on_message(sources[0], old[0].clone(), SimTime::ZERO);
+        assert_eq!(dropped(&out), 0);
+        // A newer epoch evicts the held older block, visibly.
+        let out = holder.on_message(sources[0], new[0].clone(), SimTime::ZERO);
+        assert_eq!(dropped(&out), 1, "{out:?}");
+        // An older epoch than the one held is dropped, visibly.
+        let out = holder.on_message(sources[1], old[1].clone(), SimTime::ZERO);
+        assert_eq!(dropped(&out), 1, "{out:?}");
+        let out = holder.on_message(
+            NodeId(0),
+            Msg::RoundBegin {
+                epoch: 2,
+                sources: sources.clone(),
+                holders: vec![NodeId(3)],
+            },
+            SimTime::ZERO,
+        );
+        assert_eq!(dropped(&out), 0);
+        for (&src, msg) in sources.iter().zip(new).skip(1) {
+            holder.on_message(src, msg, SimTime::ZERO);
+        }
+        holder.on_message(NodeId(0), Msg::Commit { epoch: 2 }, SimTime::ZERO);
+        assert_eq!(holder.committed().map(|(e, _)| e), Some(2));
+    }
+
     #[test]
     fn status_and_digest_roundtrip() {
         let s = spec();
@@ -2077,11 +2261,5 @@ mod tests {
             .payload_len(),
             Some(10)
         );
-    }
-
-    #[test]
-    fn fnv64_is_stable() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv64(b"a"), fnv64(b"b"));
     }
 }

@@ -9,18 +9,8 @@
 
 use std::collections::HashSet;
 
+use dvdc_simcore::hash::fnv64;
 use dvdc_vcluster::memory::MemoryImage;
-
-/// 64-bit FNV-1a over a page. Collisions are ~2⁻⁶⁴ per pair — acceptable
-/// for a simulation; a production system would use a cryptographic hash.
-pub fn hash_page(page: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in page {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// A destination node's index of page hashes.
 #[derive(Debug, Clone, Default)]
@@ -39,7 +29,7 @@ impl PageHashIndex {
     pub fn index_image(&mut self, image: &MemoryImage) {
         for p in 0..image.page_count() {
             self.hashes
-                .insert(hash_page(image.page(dvdc_vcluster::ids::PageIndex(p))));
+                .insert(fnv64(image.page(dvdc_vcluster::ids::PageIndex(p))));
         }
     }
 
@@ -47,7 +37,7 @@ impl PageHashIndex {
     pub fn index_bytes(&mut self, bytes: &[u8], page_size: usize) {
         assert!(page_size > 0, "page size must be positive");
         for page in bytes.chunks(page_size) {
-            self.hashes.insert(hash_page(page));
+            self.hashes.insert(fnv64(page));
         }
     }
 
@@ -63,7 +53,7 @@ impl PageHashIndex {
 
     /// True if a page with this content is already present.
     pub fn contains(&self, page: &[u8]) -> bool {
-        self.hashes.contains(&hash_page(page))
+        self.hashes.contains(&fnv64(page))
     }
 
     /// Splits a migrating image into (bytes that must travel, bytes
@@ -171,13 +161,6 @@ mod tests {
         from_bytes.index_bytes(img.as_bytes(), 32);
         assert_eq!(from_img.len(), from_bytes.len());
         assert!(from_bytes.contains(img.page(dvdc_vcluster::ids::PageIndex(3))));
-    }
-
-    #[test]
-    fn hash_distinguishes_contents() {
-        assert_ne!(hash_page(&[1, 2, 3]), hash_page(&[1, 2, 4]));
-        assert_ne!(hash_page(&[]), hash_page(&[0]));
-        assert_eq!(hash_page(&[9, 9]), hash_page(&[9, 9]));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Deterministic discrete-event simulation (DES) engine underpinning the
 //! DVDC reproduction.
 //!
-//! The crate provides four building blocks:
+//! The crate provides these building blocks:
 //!
 //! * [`time`] — a totally-ordered simulated-time type ([`SimTime`]) and
 //!   durations measured in seconds.
@@ -12,11 +12,13 @@
 //!   bit-identical.
 //! * [`engine`] — a handler-based DES driver ([`Simulation`]) on top of the
 //!   queue, validated against M/M/1 queueing theory.
+//! * [`hash`] — the one checksum (FNV-1a/64) and the one integer mixer
+//!   (SplitMix64) every other crate uses.
 //! * [`rng`] — named, independently seeded random-number streams
 //!   ([`RngHub`]) so that adding a new stochastic component never perturbs
 //!   the draws of existing ones.
 //! * [`stats`] — online statistics collectors (Welford mean/variance,
-//!   time-weighted means, fixed-bin histograms) and [`montecarlo`] — a
+//!   time-weighted means) and [`montecarlo`] — a
 //!   driver that runs many independent trials and summarises them.
 //!
 //! Everything is deterministic given a master seed. That property is load
@@ -46,6 +48,7 @@
 
 pub mod engine;
 pub mod event;
+pub mod hash;
 pub mod montecarlo;
 pub mod rng;
 pub mod stats;

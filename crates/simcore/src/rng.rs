@@ -22,6 +22,8 @@
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
+use crate::hash::{fnv64, splitmix64, GOLDEN};
+
 /// The concrete RNG handed out by [`RngHub`].
 pub type StreamRng = ChaCha12Rng;
 
@@ -59,8 +61,8 @@ impl RngHub {
         let mut seed = [0u8; 32];
         let mut x = self
             .master_seed
-            .wrapping_add(fnv1a(name.as_bytes()))
-            .wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            .wrapping_add(fnv64(name.as_bytes()))
+            .wrapping_add(index.wrapping_mul(GOLDEN));
         for chunk in seed.chunks_exact_mut(8) {
             x = splitmix64(x);
             chunk.copy_from_slice(&x.to_le_bytes());
@@ -73,31 +75,11 @@ impl RngHub {
     pub fn subhub(&self, name: &str, index: u64) -> RngHub {
         let derived = splitmix64(
             self.master_seed
-                .wrapping_add(fnv1a(name.as_bytes()))
+                .wrapping_add(fnv64(name.as_bytes()))
                 .wrapping_add(index.wrapping_mul(0xD1B5_4A32_D192_ED03)),
         );
         RngHub::new(derived)
     }
-}
-
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over bytes, used only to fold stream names into the seed.
-#[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

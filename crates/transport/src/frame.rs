@@ -15,7 +15,7 @@
 //! never panics and never silently resynchronises on garbage (a stream
 //! with a bad magic or checksum is dead; the link layer reconnects).
 
-use dvdc::protocol::node_core::fnv64;
+use dvdc_simcore::hash::fnv64;
 
 /// Frame magic: the ASCII bytes `DVDC` packed big-endian-first into a
 /// `u32`, serialized little-endian on the wire.
@@ -61,8 +61,6 @@ pub enum FrameError {
         /// Digest carried in the trailer.
         got: u64,
     },
-    /// A one-shot decode was handed fewer bytes than one whole frame.
-    Truncated,
     /// The underlying stream failed (includes EOF mid-frame as
     /// [`std::io::ErrorKind::UnexpectedEof`]).
     Io(std::io::ErrorKind),
@@ -84,7 +82,6 @@ impl std::fmt::Display for FrameError {
                 f,
                 "frame checksum mismatch: payload digests to {expected:#018x}, trailer says {got:#018x}"
             ),
-            FrameError::Truncated => write!(f, "truncated frame: fewer bytes than one whole frame"),
             FrameError::Io(kind) => write!(f, "frame io error: {kind}"),
         }
     }
@@ -138,101 +135,14 @@ fn parse_header(header: &[u8]) -> Result<usize, FrameError> {
     Ok(len as usize)
 }
 
-/// Verify the trailer digest and return the payload.
-fn check_payload(payload: &[u8], trailer: &[u8]) -> Result<(), FrameError> {
-    let got = u64::from_le_bytes([
-        trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
-        trailer[7],
-    ]);
+/// Verify the trailer digest against the payload.
+fn check_payload(payload: &[u8], trailer: [u8; TRAILER_LEN]) -> Result<(), FrameError> {
+    let got = u64::from_le_bytes(trailer);
     let expected = fnv64(payload);
     if expected != got {
         return Err(FrameError::Checksum { expected, got });
     }
     Ok(())
-}
-
-/// Incremental decoder for a byte stream that arrives in arbitrary
-/// chunks. Feed bytes in with [`feed`](FrameDecoder::feed), pull whole
-/// frames out with [`next_frame`](FrameDecoder::next_frame). A partial
-/// frame simply yields `Ok(None)` until more bytes arrive; malformed
-/// bytes yield a typed error and poison the decoder (the stream cannot be
-/// trusted past the first framing violation).
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    poisoned: Option<FrameError>,
-}
-
-impl FrameDecoder {
-    /// Fresh decoder with an empty buffer.
-    pub fn new() -> Self {
-        FrameDecoder::default()
-    }
-
-    /// Append raw bytes received from the stream.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes currently buffered and not yet consumed as frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Try to decode the next complete frame. `Ok(None)` means "need
-    /// more bytes"; errors are sticky — once the stream violates framing,
-    /// every subsequent call returns the same error.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let len = match parse_header(&self.buf[..HEADER_LEN]) {
-            Ok(len) => len,
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                return Err(e);
-            }
-        };
-        let total = HEADER_LEN + len + TRAILER_LEN;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload_end = HEADER_LEN + len;
-        if let Err(e) = check_payload(
-            &self.buf[HEADER_LEN..payload_end],
-            &self.buf[payload_end..total],
-        ) {
-            self.poisoned = Some(e.clone());
-            return Err(e);
-        }
-        let payload = self.buf[HEADER_LEN..payload_end].to_vec();
-        self.buf.drain(..total);
-        Ok(Some(payload))
-    }
-}
-
-/// One-shot decode of a buffer expected to hold exactly one whole frame
-/// (e.g. a control-plane reply read to EOF). Fewer bytes than a whole
-/// frame is [`FrameError::Truncated`]; surplus bytes after the frame are
-/// also `Truncated` (the caller's "exactly one" expectation was torn
-/// either way).
-pub fn decode_exact(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(FrameError::Truncated);
-    }
-    let len = parse_header(&bytes[..HEADER_LEN])?;
-    let total = HEADER_LEN + len + TRAILER_LEN;
-    if bytes.len() != total {
-        return Err(FrameError::Truncated);
-    }
-    check_payload(
-        &bytes[HEADER_LEN..HEADER_LEN + len],
-        &bytes[HEADER_LEN + len..total],
-    )?;
-    Ok(bytes[HEADER_LEN..HEADER_LEN + len].to_vec())
 }
 
 /// Blocking read of one whole frame from a stream. EOF before the first
@@ -246,7 +156,7 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
     r.read_exact(&mut payload)?;
     let mut trailer = [0u8; TRAILER_LEN];
     r.read_exact(&mut trailer)?;
-    check_payload(&payload, &trailer)?;
+    check_payload(&payload, trailer)?;
     Ok(payload)
 }
 
@@ -262,18 +172,22 @@ pub fn write_frame<W: std::io::Write>(w: &mut W, payload: &[u8]) -> Result<(), F
 mod tests {
     use super::*;
 
+    fn read_one(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
+        read_frame(&mut std::io::Cursor::new(bytes))
+    }
+
     #[test]
     fn round_trip_simple() {
         let payload = b"hello dvdc".to_vec();
         let frame = encode_frame(&payload);
-        assert_eq!(decode_exact(&frame).unwrap(), payload);
+        assert_eq!(read_one(&frame).unwrap(), payload);
     }
 
     #[test]
     fn empty_payload_round_trips() {
         let frame = encode_frame(&[]);
         assert_eq!(frame.len(), HEADER_LEN + TRAILER_LEN);
-        assert_eq!(decode_exact(&frame).unwrap(), Vec::<u8>::new());
+        assert_eq!(read_one(&frame).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -281,44 +195,36 @@ mod tests {
         let frame = encode_frame(b"payload bytes");
         for cut in 0..frame.len() {
             assert_eq!(
-                decode_exact(&frame[..cut]),
-                Err(FrameError::Truncated),
+                read_one(&frame[..cut]),
+                Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof)),
                 "cut at {cut}"
             );
         }
     }
 
     #[test]
-    fn trailing_garbage_after_exact_frame_is_truncated() {
-        let mut frame = encode_frame(b"x");
-        frame.push(0xAA);
-        assert_eq!(decode_exact(&frame), Err(FrameError::Truncated));
-    }
-
-    #[test]
     fn bad_magic_is_typed() {
         let mut frame = encode_frame(b"x");
         frame[0] ^= 0xFF;
-        assert!(matches!(
-            decode_exact(&frame),
-            Err(FrameError::BadMagic { .. })
-        ));
+        assert!(matches!(read_one(&frame), Err(FrameError::BadMagic { .. })));
     }
 
     #[test]
     fn bad_version_is_typed() {
         let mut frame = encode_frame(b"x");
         frame[4] = 9;
-        assert_eq!(decode_exact(&frame), Err(FrameError::Version { got: 9 }));
+        assert_eq!(read_one(&frame), Err(FrameError::Version { got: 9 }));
     }
 
     #[test]
     fn oversized_length_rejected_before_allocation() {
+        // Only the header is present: a reader that allocated `len` bytes
+        // first would fail with `UnexpectedEof`, not `Oversized`.
         let mut frame = encode_frame(b"x");
-        frame[6..10].copy_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        frame[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
-            decode_exact(&frame),
-            Err(FrameError::Oversized { len: MAX_FRAME + 1 })
+            read_one(&frame[..HEADER_LEN]),
+            Err(FrameError::Oversized { len: u32::MAX })
         );
     }
 
@@ -326,53 +232,7 @@ mod tests {
     fn flipped_payload_bit_fails_checksum() {
         let mut frame = encode_frame(b"checksum me");
         frame[HEADER_LEN + 3] ^= 0x01;
-        assert!(matches!(
-            decode_exact(&frame),
-            Err(FrameError::Checksum { .. })
-        ));
-    }
-
-    #[test]
-    fn decoder_reassembles_frames_fed_one_byte_at_a_time() {
-        let payloads: Vec<Vec<u8>> = vec![b"one".to_vec(), vec![], vec![0u8; 300]];
-        let mut stream = Vec::new();
-        for p in &payloads {
-            stream.extend_from_slice(&encode_frame(p));
-        }
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        for b in stream {
-            dec.feed(&[b]);
-            while let Some(p) = dec.next_frame().unwrap() {
-                got.push(p);
-            }
-        }
-        assert_eq!(got, payloads);
-        assert_eq!(dec.buffered(), 0);
-    }
-
-    #[test]
-    fn decoder_poisons_on_corrupt_stream() {
-        let mut frame = encode_frame(b"abc");
-        let n = frame.len();
-        frame[n - 1] ^= 0xFF; // corrupt the trailer
-        let mut dec = FrameDecoder::new();
-        dec.feed(&frame);
-        let first = dec.next_frame();
-        assert!(matches!(first, Err(FrameError::Checksum { .. })));
-        // Sticky: feeding a now-valid frame does not resurrect the stream.
-        dec.feed(&encode_frame(b"later"));
-        assert_eq!(dec.next_frame(), first);
-    }
-
-    #[test]
-    fn read_frame_reports_torn_stream_as_unexpected_eof() {
-        let frame = encode_frame(b"stream me");
-        let mut cursor = std::io::Cursor::new(frame[..frame.len() - 2].to_vec());
-        assert_eq!(
-            read_frame(&mut cursor),
-            Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof))
-        );
+        assert!(matches!(read_one(&frame), Err(FrameError::Checksum { .. })));
     }
 
     #[test]
@@ -383,5 +243,9 @@ mod tests {
         let mut cursor = std::io::Cursor::new(buf);
         assert_eq!(read_frame(&mut cursor).unwrap(), b"over the wire");
         assert_eq!(read_frame(&mut cursor).unwrap(), b"twice");
+        assert_eq!(
+            read_frame(&mut cursor),
+            Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof))
+        );
     }
 }
