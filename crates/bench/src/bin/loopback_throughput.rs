@@ -19,7 +19,10 @@
 //! buggify/trace overhead benches).
 //!
 //! Knobs: `DVDC_LOOPBACK_NODES` (default 25), `DVDC_LOOPBACK_ROUNDS`
-//! (default 12), `DVDC_LOOPBACK_REPS` (default 2).
+//! (default 200), `DVDC_LOOPBACK_REPS` (default 5). At the defaults each
+//! rep drives over a second of back-to-back rounds, so the min-of-reps
+//! gate compares seconds, not a ~0.1 s burst that scheduler noise can
+//! swing by 20%.
 //!
 //! Run: `cargo run --release -p dvdc-bench --bin loopback_throughput`
 
@@ -38,9 +41,14 @@ use dvdc_observe::{Recorder, SyncRingRecorder};
 use dvdc_simcore::time::Duration;
 use dvdc_transport::runtime::{NodeRuntime, ObserveConfig, RuntimeConfig};
 use dvdc_vcluster::ids::NodeId;
-use serde::{Serialize, Value};
+use serde::Value;
 
 const RPC: StdDuration = StdDuration::from_secs(60);
+
+/// Newest ring events scraped per node for the merged trace: the last
+/// few rounds on every lane, while the committed artifact stays the
+/// size it was when a run had only a dozen rounds.
+const TRACE_TAIL: u32 = 40;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -173,6 +181,14 @@ fn rep(n: usize, rounds: usize, live_metrics: bool, scrape_trace: bool) -> RepOu
     cluster.drive_rounds(rounds);
     let elapsed_secs = start.elapsed().as_secs_f64();
     let (merged, coordinator) = if live_metrics {
+        // The runtime writes the ctl reply before it hands the round's
+        // notes to `NodeMetrics`, so the last commit can reach the
+        // coordinator's hub just after the reply reaches us.
+        let committed = cluster.hubs[0].counter("node.rounds_committed");
+        let deadline = Instant::now() + StdDuration::from_secs(5);
+        while committed.get() < rounds as u64 && Instant::now() < deadline {
+            std::thread::sleep(StdDuration::from_millis(1));
+        }
         let mut merged = MetricsSnapshot::default();
         for hub in &cluster.hubs {
             merged.merge(&hub.snapshot());
@@ -185,7 +201,7 @@ fn rep(n: usize, rounds: usize, live_metrics: bool, scrape_trace: bool) -> RepOu
         let tails: Vec<_> = cluster
             .addrs
             .iter()
-            .map(|&a| ctl_trace_tail(a, 0, RPC).expect("trace tail"))
+            .map(|&a| ctl_trace_tail(a, TRACE_TAIL, RPC).expect("trace tail"))
             .collect();
         merge_node_traces(&tails, &[])
     });
@@ -198,19 +214,10 @@ fn rep(n: usize, rounds: usize, live_metrics: bool, scrape_trace: bool) -> RepOu
     }
 }
 
-/// `write_json` needs `Serialize`; snapshots render through [`Value`].
-struct ValueWrap(Value);
-
-impl Serialize for ValueWrap {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 fn main() {
     let nodes = env_usize("DVDC_LOOPBACK_NODES", 25);
-    let rounds = env_usize("DVDC_LOOPBACK_ROUNDS", 12);
-    let reps = env_usize("DVDC_LOOPBACK_REPS", 2);
+    let rounds = env_usize("DVDC_LOOPBACK_ROUNDS", 200);
+    let reps = env_usize("DVDC_LOOPBACK_REPS", 5);
     assert!(nodes >= 3, "need k>=2 data + 1 parity");
 
     // Interleaved reps, min-of-reps: same discipline as the other
@@ -303,7 +310,7 @@ fn main() {
             ]),
         ),
     ]);
-    write_json("loopback_throughput", &ValueWrap(report));
+    write_json("loopback_throughput", &report);
 
     if let Some(trace) = last_on.trace_json {
         let path = results_dir().join("loopback_trace.json");

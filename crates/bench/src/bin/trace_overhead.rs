@@ -6,7 +6,7 @@
 //! * `noop`        — an explicit [`RecorderHandle::noop`] attached; the
 //!   protocol sees `enabled() == false` and must skip every emission,
 //!   so this must cost the same as `baseline` (asserted below).
-//! * `trace`       — an unbounded [`TraceRecorder`] captures the full
+//! * `trace`       — an unbounded [`SyncRingRecorder`] captures the full
 //!   event stream.
 //! * `trace+audit` — the trace recorder fanned out with the online
 //!   [`InvariantAuditor`], the configuration the chaos suites run.
@@ -22,7 +22,7 @@ use dvdc::protocol::DvdcProtocol;
 use dvdc_bench::{render_table, write_json};
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_observe::audit::InvariantAuditor;
-use dvdc_observe::{Fanout, RecorderHandle, TraceRecorder};
+use dvdc_observe::{Fanout, RecorderHandle, SyncRingRecorder};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::ClusterBuilder;
@@ -45,16 +45,16 @@ struct OverheadRow {
 }
 
 /// The recorder each configuration attaches (`None` = never attached).
-fn recorder_for(config: &str) -> (Option<RecorderHandle>, Option<Rc<TraceRecorder>>) {
+fn recorder_for(config: &str) -> (Option<RecorderHandle>, Option<Rc<SyncRingRecorder>>) {
     match config {
         "baseline" => (None, None),
         "noop" => (Some(RecorderHandle::noop()), None),
         "trace" => {
-            let buf = Rc::new(TraceRecorder::unbounded());
+            let buf = Rc::new(SyncRingRecorder::unbounded());
             (Some(RecorderHandle::new(buf.clone())), Some(buf))
         }
         "trace+audit" => {
-            let buf = Rc::new(TraceRecorder::unbounded());
+            let buf = Rc::new(SyncRingRecorder::unbounded());
             let audit = Rc::new(InvariantAuditor::new());
             let fan = Fanout::new(vec![
                 RecorderHandle::new(buf.clone()),

@@ -28,7 +28,7 @@ use dvdc_faults::trace::parse_trace;
 use dvdc_model::{fig5, Fig5Params};
 use dvdc_observe::chrome::chrome_trace;
 use dvdc_observe::metrics::metrics_snapshot;
-use dvdc_observe::{RecorderHandle, TraceRecorder};
+use dvdc_observe::{RecorderHandle, SyncRingRecorder};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::{Cluster, ClusterBuilder};
@@ -253,7 +253,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let trace_out = args.get("trace-out").map(String::from);
     let trace_buf = trace_out
         .as_ref()
-        .map(|_| Rc::new(TraceRecorder::unbounded()));
+        .map(|_| Rc::new(SyncRingRecorder::unbounded()));
     let recorder = match &trace_buf {
         Some(buf) => RecorderHandle::new(buf.clone()),
         None => RecorderHandle::noop(),

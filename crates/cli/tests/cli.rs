@@ -103,6 +103,53 @@ fn run_replays_a_trace_file() {
 }
 
 #[test]
+fn run_exports_a_chrome_trace_and_a_metrics_snapshot() {
+    let dir = std::env::temp_dir().join(format!("dvdc_cli_trace_out_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.json");
+    let out = run(&[
+        "run",
+        "--protocol",
+        "dvdc",
+        "--nodes",
+        "4",
+        "--job-secs",
+        "120",
+        "--interval",
+        "20",
+        "--seed",
+        "42",
+        "--trace-out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let trace = std::fs::read_to_string(&path).expect("trace written");
+    assert!(trace.contains("\"traceEvents\""));
+    let round = trace
+        .find("\"name\": \"round 1\"")
+        .expect("a round 1 slice");
+    let record = &trace[round..round + trace[round..].find('}').unwrap()];
+    assert!(
+        record.contains("\"ph\": \"B\""),
+        "round 1 opens a B slice: {record}"
+    );
+
+    let metrics = std::fs::read_to_string(format!("{}.metrics.json", path.display()))
+        .expect("metrics written");
+    assert!(metrics.contains("\"counters\"") && metrics.contains("\"histograms\""));
+    let key = "\"node.rounds_committed\": ";
+    let at = metrics.find(key).expect("rounds committed counter") + key.len();
+    let committed: u64 = metrics[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|n| n.parse().ok())
+        .expect("a count");
+    assert!(committed > 0, "no committed rounds in {metrics}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn model_prints_both_optima() {
     let out = run(&["model", "--mtbf-hours", "3"]);
     assert!(out.status.success(), "{}", stderr(&out));

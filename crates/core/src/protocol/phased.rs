@@ -1351,14 +1351,14 @@ mod tests {
     #[test]
     fn traced_crash_round_emits_a_clean_causal_stream() {
         use dvdc_observe::audit::InvariantAuditor;
-        use dvdc_observe::{Fanout, TraceRecorder};
+        use dvdc_observe::{Fanout, SyncRingRecorder};
         use std::rc::Rc;
 
         let mut c = build(4, 3);
         let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
         p.run_round(&mut c).unwrap();
 
-        let trace = Rc::new(TraceRecorder::unbounded());
+        let trace = Rc::new(SyncRingRecorder::unbounded());
         let audit = Rc::new(InvariantAuditor::new());
         p.set_recorder(RecorderHandle::new(Rc::new(Fanout::new(vec![
             RecorderHandle::new(trace.clone()),

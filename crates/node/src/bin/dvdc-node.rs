@@ -32,7 +32,7 @@ use std::time::Duration as StdDuration;
 use dvdc::protocol::node_core::Note;
 use dvdc_node::{note_event, NodeMetrics, NodeOptions};
 use dvdc_observe::registry::MetricsHub;
-use dvdc_observe::{dump_tail, Recorder, SyncRingRecorder, TraceTail};
+use dvdc_observe::{dump_tail, Recorder, SyncRingRecorder};
 use dvdc_transport::runtime::{NodeRuntime, ObserveConfig, RuntimeConfig};
 use dvdc_vcluster::ids::NodeId;
 
@@ -70,10 +70,9 @@ fn main() -> ExitCode {
         let default_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             default_hook(info);
-            let (events, dropped) = ring.tail();
             dump_tail(
-                &events,
-                dropped,
+                &ring.events(),
+                ring.dropped(),
                 &format!(
                     "dvdc-node id={id} seed={seed} committed_epoch={}",
                     committed.load(Ordering::Relaxed)

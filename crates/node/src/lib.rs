@@ -1,19 +1,20 @@
 //! Shared plumbing for the DVDC deployment binaries (`dvdc-node`,
 //! `dvdc-ctl`) and their integration tests: daemon option parsing, the
 //! ctl request/reply client, human-readable status formatting, and the
-//! [`Note`] → [`Event`] mapping that feeds the daemon's panic-dump ring.
+//! [`Note`] → [`Event`] mapping that feeds the daemon's panic-dump ring
+//! and, through [`NodeMetrics`], its metrics plane.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration as StdDuration;
 
 use dvdc::protocol::node_core::{ClusterSpec, Msg, Note, StatusView, CTL};
 use dvdc_faults::detector::{DetectorConfig, Verdict};
 use dvdc_observe::chrome::NodeTail;
-use dvdc_observe::registry::{Counter, HistogramHandle, MetricsHub, MetricsSnapshot, Stamp};
+use dvdc_observe::metrics::EventMetrics;
+use dvdc_observe::registry::{HistogramHandle, MetricsHub, MetricsSnapshot, Stamp};
 use dvdc_observe::Event;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_transport::frame::{read_frame, write_frame};
@@ -336,129 +337,38 @@ pub fn note_event(note: &Note) -> Option<Event> {
     })
 }
 
-/// Caps the open-round / open-rebuild correlation maps so a pathological
-/// note stream (aborts that never resolve) cannot grow them unbounded.
-const OPEN_SPAN_CAP: usize = 64;
-
-/// Derives the node-level metrics plane from the protocol's [`Note`]
-/// stream: round begin→commit latency, capture-window duration, rebuild
-/// phase durations, and counters for every failure-plane decision. Feed
-/// it from the daemon's `on_note` callback; all handles come from one
-/// [`MetricsHub`], so a no-op hub makes every call a single branch.
+/// The node-level metrics plane, derived from the protocol's [`Note`]
+/// stream: every note that maps to an [`Event`] goes through the shared
+/// [`EventMetrics`] fold (round begin→commit latency, rebuild fetch and
+/// total durations, failure-plane counters — the same instruments the
+/// simulator's metrics snapshot uses), and the capture window, which no
+/// event carries, lands in `node.capture_window_ns`. Feed it from the
+/// daemon's `on_note` callback; a no-op hub makes every call a branch.
 #[derive(Debug)]
 pub struct NodeMetrics {
-    round_latency: HistogramHandle,
+    fold: EventMetrics,
     capture_window: HistogramHandle,
-    rebuild_fetch: HistogramHandle,
-    rebuild_total: HistogramHandle,
-    rounds_committed: Counter,
-    rounds_aborted: Counter,
-    fences: Counter,
-    readmitted: Counter,
-    suspected: Counter,
-    confirmed: Counter,
-    sessions_established: Counter,
-    hellos_rejected: Counter,
-    stale_dropped: Counter,
-    payloads_dropped: Counter,
-    resyncs_served: Counter,
-    rebuilds: Counter,
-    data_loss: Counter,
-    /// Open rounds: epoch → start stamp, for begin→commit latency.
-    round_open: BTreeMap<u64, SimTime>,
-    /// Open rebuilds: victim → start stamp, for phase durations.
-    rebuild_open: BTreeMap<usize, SimTime>,
 }
 
 impl NodeMetrics {
     /// Registers every node-plane instrument on `hub`.
     pub fn new(hub: &MetricsHub) -> Self {
         NodeMetrics {
-            round_latency: hub.histogram("node.round_latency_ns"),
+            fold: EventMetrics::new(hub),
             capture_window: hub.histogram("node.capture_window_ns"),
-            rebuild_fetch: hub.histogram("node.rebuild_fetch_ns"),
-            rebuild_total: hub.histogram("node.rebuild_total_ns"),
-            rounds_committed: hub.counter("node.rounds_committed"),
-            rounds_aborted: hub.counter("node.rounds_aborted"),
-            fences: hub.counter("node.fences"),
-            readmitted: hub.counter("node.readmitted"),
-            suspected: hub.counter("node.suspected"),
-            confirmed: hub.counter("node.confirmed"),
-            sessions_established: hub.counter("node.sessions_established"),
-            hellos_rejected: hub.counter("node.hellos_rejected"),
-            stale_dropped: hub.counter("node.stale_dropped"),
-            payloads_dropped: hub.counter("node.payloads_dropped"),
-            resyncs_served: hub.counter("node.resyncs_served"),
-            rebuilds: hub.counter("node.rebuilds"),
-            data_loss: hub.counter("node.data_loss"),
-            round_open: BTreeMap::new(),
-            rebuild_open: BTreeMap::new(),
         }
     }
 
     /// Folds one timed note into the instruments.
     pub fn observe(&mut self, at: SimTime, note: &Note) {
-        match note {
-            Note::RoundStarted { epoch } => {
-                if self.round_open.len() >= OPEN_SPAN_CAP {
-                    self.round_open.pop_first();
-                }
-                self.round_open.insert(*epoch, at);
-            }
-            Note::RoundCommitted { epoch } => {
-                self.rounds_committed.inc();
-                if let Some(begun) = self.round_open.remove(epoch) {
-                    self.round_latency
-                        .record(Stamp::Sim(at).nanos_since(Stamp::Sim(begun)));
-                }
-            }
-            Note::RoundAborted { epoch, .. } => {
-                self.rounds_aborted.inc();
-                self.round_open.remove(epoch);
-            }
-            Note::CaptureShipped { window_secs, .. } => {
-                self.capture_window
-                    .record(Stamp::Sim(SimTime::from_secs(*window_secs)).nanos());
-            }
-            Note::PeerVerdict { verdict, .. } => match verdict {
-                Verdict::Suspected => self.suspected.inc(),
-                Verdict::Confirmed => self.confirmed.inc(),
-                Verdict::Refuted => {}
-            },
-            Note::Fenced { .. } => self.fences.inc(),
-            Note::Readmitted { .. } => self.readmitted.inc(),
-            Note::RebuildStarted { victim } => {
-                self.rebuilds.inc();
-                if self.rebuild_open.len() >= OPEN_SPAN_CAP {
-                    self.rebuild_open.pop_first();
-                }
-                self.rebuild_open.insert(victim.0, at);
-            }
-            Note::RebuildPhase { victim, phase } => {
-                // "Decode" marks the end of the fetch phase: every
-                // fragment is home and reconstruction begins.
-                if *phase == "Decode" {
-                    if let Some(begun) = self.rebuild_open.get(&victim.0) {
-                        self.rebuild_fetch
-                            .record(Stamp::Sim(at).nanos_since(Stamp::Sim(*begun)));
-                    }
-                }
-            }
-            Note::RebuildCompleted { victim, .. } => {
-                if let Some(begun) = self.rebuild_open.remove(&victim.0) {
-                    self.rebuild_total
-                        .record(Stamp::Sim(at).nanos_since(Stamp::Sim(begun)));
-                }
-            }
-            Note::DataLoss { victim, .. } => {
-                self.data_loss.inc();
-                self.rebuild_open.remove(&victim.0);
-            }
-            Note::SessionEstablished { .. } => self.sessions_established.inc(),
-            Note::HelloRejected { .. } => self.hellos_rejected.inc(),
-            Note::StaleRejected { .. } => self.stale_dropped.inc(),
-            Note::PayloadDropped { .. } => self.payloads_dropped.inc(),
-            Note::ResyncServed { .. } => self.resyncs_served.inc(),
+        // `note_event` stamps the capture as a `RoundPhase` at the *end*
+        // of the window, where a sim `RoundPhase` marks a phase start;
+        // folding it would mislabel the span, so only its length counts.
+        if let Note::CaptureShipped { window_secs, .. } = note {
+            self.capture_window
+                .record(Stamp::Sim(SimTime::from_secs(*window_secs)).nanos());
+        } else if let Some(event) = note_event(note) {
+            self.fold.record(at, &event);
         }
     }
 }
@@ -466,6 +376,7 @@ impl NodeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvdc_observe::metrics::OPEN_SPAN_CAP;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -638,6 +549,6 @@ mod tests {
                 &Note::RoundStarted { epoch },
             );
         }
-        assert!(m.round_open.len() <= OPEN_SPAN_CAP);
+        assert!(m.fold.open_rounds() <= OPEN_SPAN_CAP);
     }
 }

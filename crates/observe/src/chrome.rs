@@ -35,13 +35,19 @@ const ROUNDS_TID: u64 = 0;
 /// Rebuild/scrub slices on the cluster process.
 const REBUILDS_TID: u64 = 1;
 
+/// `[track name, span category, phase category]` of the round and
+/// rebuild slice tracks.
+const ROUND_TRACK: [&str; 3] = ["rounds", "round", "phase"];
+const REBUILD_TRACK: [&str; 3] = ["rebuilds", "rebuild", "rebuild-phase"];
+
 /// Physical node `n` renders as process `n + 1`.
 fn node_pid(node: usize) -> u64 {
     node as u64 + 1
 }
 
-fn us(at: SimTime) -> Value {
-    Value::F64(at.as_secs() * 1e6)
+/// Trace timestamps are microseconds.
+fn us(at: SimTime) -> f64 {
+    at.as_secs() * 1e6
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -57,7 +63,7 @@ fn base(
     ph: &str,
     name: &str,
     cat: &str,
-    ts: Value,
+    ts: f64,
     pid: u64,
     tid: u64,
     mut extra: Vec<(&str, Value)>,
@@ -66,7 +72,7 @@ fn base(
         ("name", Value::Str(name.to_owned())),
         ("cat", Value::Str(cat.to_owned())),
         ("ph", Value::Str(ph.to_owned())),
-        ("ts", ts),
+        ("ts", Value::F64(ts)),
         ("pid", Value::U64(pid)),
         ("tid", Value::U64(tid)),
     ];
@@ -76,6 +82,188 @@ fn base(
 
 fn args(entries: Vec<(&str, Value)>) -> (&'static str, Value) {
     ("args", obj(entries))
+}
+
+/// Process name of a trace pid: the cluster, or physical node `pid - 1`.
+fn process_name(pid: u64) -> String {
+    if pid == CLUSTER_PID {
+        "cluster".to_owned()
+    } else {
+        format!("node{}", pid - 1)
+    }
+}
+
+/// A trace under construction: the rendered records plus the name of
+/// every `(pid, tid)` track they landed on. Both exporters build through
+/// it, so instants and metadata render one way.
+#[derive(Default)]
+struct Trace {
+    records: Vec<Value>,
+    tracks: BTreeMap<(u64, u64), String>,
+}
+
+impl Trace {
+    /// Names track `(pid, tid)` unless it already has a name.
+    fn track(&mut self, pid: u64, tid: u64, name: &str) {
+        self.tracks
+            .entry((pid, tid))
+            .or_insert_with(|| name.to_owned());
+    }
+
+    /// Renders `event` as a thread-scoped instant on the `events` track
+    /// `(pid, tid)`, named by [`Event::name`], with [`event_args`].
+    fn instant(&mut self, ts: f64, pid: u64, tid: u64, event: &Event) {
+        self.track(pid, tid, "events");
+        let name = event.name();
+        self.records.push(base(
+            "i",
+            name,
+            name,
+            ts,
+            pid,
+            tid,
+            vec![("s", Value::Str("t".to_owned())), args(event_args(event))],
+        ));
+    }
+
+    /// The trace envelope: `M` records naming every process in `pids`
+    /// or on a track, then every track, then the records.
+    fn finish(
+        self,
+        pids: impl IntoIterator<Item = u64>,
+        other_data: Vec<(String, Value)>,
+    ) -> Value {
+        let mut pids: std::collections::BTreeSet<u64> = pids.into_iter().collect();
+        pids.extend(self.tracks.keys().map(|&(pid, _)| pid));
+        let meta = |kind: &str, pid: u64, tid: u64, name: String| {
+            obj(vec![
+                ("name", Value::Str(kind.to_owned())),
+                ("ph", Value::Str("M".to_owned())),
+                ("pid", Value::U64(pid)),
+                ("tid", Value::U64(tid)),
+                ("args", obj(vec![("name", Value::Str(name))])),
+            ])
+        };
+        let mut events: Vec<Value> = pids
+            .into_iter()
+            .map(|pid| meta("process_name", pid, 0, process_name(pid)))
+            .collect();
+        events.extend(
+            self.tracks
+                .into_iter()
+                .map(|((pid, tid), name)| meta("thread_name", pid, tid, name)),
+        );
+        events.extend(self.records);
+        Value::Object(vec![
+            ("traceEvents".to_owned(), Value::Array(events)),
+            ("displayTimeUnit".to_owned(), Value::Str("ms".to_owned())),
+            ("otherData".to_owned(), Value::Object(other_data)),
+        ])
+    }
+}
+
+/// How a span-closing event ended its span.
+fn outcome(event: &Event) -> &'static str {
+    match event {
+        Event::RoundCommitted { .. } => "committed",
+        Event::RebuildCompleted { .. } => "completed",
+        _ => "aborted",
+    }
+}
+
+/// One track of nested slices: an outer span (a round, a rebuild)
+/// wrapping one slice per phase, rendered as balanced `B`/`E` pairs.
+struct SpanTrack {
+    pid: u64,
+    tid: u64,
+    /// Track name, and the categories of outer and phase slices.
+    name: &'static str,
+    cat: &'static str,
+    phase_cat: &'static str,
+    /// `Some(phase slice open?)` while the outer span is open.
+    open: Option<bool>,
+}
+
+impl SpanTrack {
+    /// A track named `[track, outer category, phase category]`.
+    fn new(pid: u64, tid: u64, [name, cat, phase_cat]: [&'static str; 3]) -> Self {
+        SpanTrack {
+            pid,
+            tid,
+            name,
+            cat,
+            phase_cat,
+            open: None,
+        }
+    }
+
+    fn push(
+        &self,
+        trace: &mut Trace,
+        ph: &str,
+        name: &str,
+        cat: &str,
+        ts: f64,
+        fields: Vec<(&str, Value)>,
+    ) {
+        let extra = if fields.is_empty() {
+            vec![]
+        } else {
+            vec![args(fields)]
+        };
+        trace
+            .records
+            .push(base(ph, name, cat, ts, self.pid, self.tid, extra));
+    }
+
+    /// Opens the outer span `event` begins (closing one left open).
+    fn begin(&mut self, trace: &mut Trace, ts: f64, event: &Event) {
+        let name = match *event {
+            Event::RebuildBegin { victim, mode, .. } => format!("rebuild node{victim} ({mode})"),
+            Event::RoundBegin { epoch } => format!("round {epoch}"),
+            _ => event.name().to_owned(),
+        };
+        self.close(trace, ts);
+        trace.track(self.pid, self.tid, self.name);
+        self.push(trace, "B", &name, self.cat, ts, event_args(event));
+        self.open = Some(false);
+    }
+
+    /// Opens phase slice `name`, closing the previous phase.
+    fn phase(&mut self, trace: &mut Trace, ts: f64, name: &str, event: &Event) {
+        if let Some(phase_open) = self.open {
+            if phase_open {
+                self.push(trace, "E", "", self.phase_cat, ts, vec![]);
+            }
+            self.open = Some(true);
+        }
+        self.push(trace, "B", name, self.phase_cat, ts, event_args(event));
+    }
+
+    /// Closes the open span with `event`'s args and outcome. False when
+    /// no span was open (its begin was never seen).
+    fn end(&mut self, trace: &mut Trace, ts: f64, event: &Event) -> bool {
+        let Some(phase_open) = self.open.take() else {
+            return false;
+        };
+        if phase_open {
+            self.push(trace, "E", "", self.phase_cat, ts, vec![]);
+        }
+        let mut fields = event_args(event);
+        fields.push(("outcome", Value::Str(outcome(event).to_owned())));
+        self.push(trace, "E", "", self.cat, ts, fields);
+        true
+    }
+
+    /// Closes whatever is still open at `ts`.
+    fn close(&mut self, trace: &mut Trace, ts: f64) {
+        if let Some(phase_open) = self.open.take() {
+            if phase_open {
+                self.push(trace, "E", "", self.phase_cat, ts, vec![]);
+            }
+            self.push(trace, "E", "", self.cat, ts, vec![]);
+        }
+    }
 }
 
 /// Tracks a launched transfer until its terminal event arrives.
@@ -91,179 +279,25 @@ struct OpenTransfer {
 /// Builds the full trace envelope as a `Value` tree. See
 /// [`chrome_trace`] for the rendered form.
 pub fn chrome_trace_value(events: &[TimedEvent], other_data: &[(String, Value)]) -> Value {
-    let mut out: Vec<Value> = Vec::new();
-    let mut threads: BTreeMap<(u64, u64), String> = BTreeMap::new();
-    threads.insert((CLUSTER_PID, ROUNDS_TID), "rounds".to_owned());
+    let mut trace = Trace::default();
+    trace.track(CLUSTER_PID, ROUNDS_TID, "rounds");
     let mut open_transfers: BTreeMap<u64, OpenTransfer> = BTreeMap::new();
-    // (epoch, phase-slice-open) for the round track, ditto for rebuilds.
-    let mut round_open: Option<(u64, bool)> = None;
-    let mut rebuild_open: Option<(usize, bool)> = None;
-
-    let instant = |out: &mut Vec<Value>,
-                   threads: &mut BTreeMap<(u64, u64), String>,
-                   at: SimTime,
-                   name: &str,
-                   cat: &str,
-                   node: usize,
-                   extra: Vec<(&str, Value)>| {
-        let pid = node_pid(node);
-        threads
-            .entry((pid, 0))
-            .or_insert_with(|| "events".to_owned());
-        let mut fields = vec![("s", Value::Str("p".to_owned()))];
-        fields.push(args(extra));
-        out.push(base("i", name, cat, us(at), pid, 0, fields));
-    };
+    let mut rounds = SpanTrack::new(CLUSTER_PID, ROUNDS_TID, ROUND_TRACK);
+    let mut rebuilds = SpanTrack::new(CLUSTER_PID, REBUILDS_TID, REBUILD_TRACK);
 
     for te in events {
         let at = te.at;
-        match te.event {
-            Event::RoundBegin { epoch } => {
-                out.push(base(
-                    "B",
-                    &format!("round {epoch}"),
-                    "round",
-                    us(at),
-                    CLUSTER_PID,
-                    ROUNDS_TID,
-                    vec![args(vec![("epoch", Value::U64(epoch))])],
-                ));
-                round_open = Some((epoch, false));
+        let event = &te.event;
+        match *event {
+            Event::RoundBegin { .. } => rounds.begin(&mut trace, us(at), event),
+            Event::RoundPhase { phase, .. } => rounds.phase(&mut trace, us(at), phase, event),
+            Event::RoundCommitted { .. } | Event::RoundAborted { .. } => {
+                rounds.end(&mut trace, us(at), event);
             }
-            Event::RoundPhase { epoch, phase } => {
-                if let Some((_, phase_open)) = round_open.as_mut() {
-                    if *phase_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "phase",
-                            us(at),
-                            CLUSTER_PID,
-                            ROUNDS_TID,
-                            vec![],
-                        ));
-                    }
-                    *phase_open = true;
-                }
-                out.push(base(
-                    "B",
-                    phase,
-                    "phase",
-                    us(at),
-                    CLUSTER_PID,
-                    ROUNDS_TID,
-                    vec![args(vec![("epoch", Value::U64(epoch))])],
-                ));
-            }
-            Event::RoundCommitted { epoch } | Event::RoundAborted { epoch, .. } => {
-                let outcome = match te.event {
-                    Event::RoundCommitted { .. } => "committed",
-                    _ => "aborted",
-                };
-                if let Some((_, phase_open)) = round_open.take() {
-                    if phase_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "phase",
-                            us(at),
-                            CLUSTER_PID,
-                            ROUNDS_TID,
-                            vec![],
-                        ));
-                    }
-                    out.push(base(
-                        "E",
-                        "",
-                        "round",
-                        us(at),
-                        CLUSTER_PID,
-                        ROUNDS_TID,
-                        vec![args(vec![
-                            ("epoch", Value::U64(epoch)),
-                            ("outcome", Value::Str(outcome.to_owned())),
-                        ])],
-                    ));
-                }
-            }
-            Event::RebuildBegin {
-                victim,
-                mode,
-                epoch,
-            } => {
-                threads
-                    .entry((CLUSTER_PID, REBUILDS_TID))
-                    .or_insert_with(|| "rebuilds".to_owned());
-                out.push(base(
-                    "B",
-                    &format!("rebuild node{victim} ({mode})"),
-                    "rebuild",
-                    us(at),
-                    CLUSTER_PID,
-                    REBUILDS_TID,
-                    vec![args(vec![
-                        ("victim", Value::U64(victim as u64)),
-                        ("mode", Value::Str(mode.to_owned())),
-                        ("epoch", Value::U64(epoch)),
-                    ])],
-                ));
-                rebuild_open = Some((victim, false));
-            }
-            Event::RebuildPhase { victim, phase } => {
-                if let Some((_, phase_open)) = rebuild_open.as_mut() {
-                    if *phase_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "rebuild-phase",
-                            us(at),
-                            CLUSTER_PID,
-                            REBUILDS_TID,
-                            vec![],
-                        ));
-                    }
-                    *phase_open = true;
-                }
-                out.push(base(
-                    "B",
-                    phase,
-                    "rebuild-phase",
-                    us(at),
-                    CLUSTER_PID,
-                    REBUILDS_TID,
-                    vec![args(vec![("victim", Value::U64(victim as u64))])],
-                ));
-            }
-            Event::RebuildCompleted { victim } | Event::RebuildAborted { victim, .. } => {
-                let outcome = match te.event {
-                    Event::RebuildCompleted { .. } => "completed",
-                    _ => "aborted",
-                };
-                if let Some((_, phase_open)) = rebuild_open.take() {
-                    if phase_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "rebuild-phase",
-                            us(at),
-                            CLUSTER_PID,
-                            REBUILDS_TID,
-                            vec![],
-                        ));
-                    }
-                    out.push(base(
-                        "E",
-                        "",
-                        "rebuild",
-                        us(at),
-                        CLUSTER_PID,
-                        REBUILDS_TID,
-                        vec![args(vec![
-                            ("victim", Value::U64(victim as u64)),
-                            ("outcome", Value::Str(outcome.to_owned())),
-                        ])],
-                    ));
-                }
+            Event::RebuildBegin { .. } => rebuilds.begin(&mut trace, us(at), event),
+            Event::RebuildPhase { phase, .. } => rebuilds.phase(&mut trace, us(at), phase, event),
+            Event::RebuildCompleted { .. } | Event::RebuildAborted { .. } => {
+                rebuilds.end(&mut trace, us(at), event);
             }
             Event::TransferLaunched {
                 id,
@@ -286,7 +320,7 @@ pub fn chrome_trace_value(events: &[TimedEvent], other_data: &[(String, Value)])
             Event::TransferArrived { id, .. }
             | Event::TransferFenced { id, .. }
             | Event::TransferDropped { id, .. } => {
-                let outcome = match te.event {
+                let outcome = match event {
                     Event::TransferArrived { .. } => "arrived",
                     Event::TransferFenced { .. } => "fenced",
                     _ => "dropped",
@@ -294,9 +328,7 @@ pub fn chrome_trace_value(events: &[TimedEvent], other_data: &[(String, Value)])
                 if let Some(open) = open_transfers.remove(&id) {
                     let pid = node_pid(open.from);
                     let tid = open.to as u64 + 1;
-                    threads
-                        .entry((pid, tid))
-                        .or_insert_with(|| format!("\u{2192} node{}", open.to));
+                    trace.track(pid, tid, &format!("\u{2192} node{}", open.to));
                     let dur = te.at.as_secs() - open.at.as_secs();
                     let mut fields = vec![("dur", Value::F64(dur * 1e6))];
                     let mut arg_fields = vec![
@@ -308,7 +340,7 @@ pub fn chrome_trace_value(events: &[TimedEvent], other_data: &[(String, Value)])
                         arg_fields.push(("token_epoch", Value::U64(open.token_epoch)));
                     }
                     fields.push(args(arg_fields));
-                    out.push(base(
+                    trace.records.push(base(
                         "X",
                         &format!("xfer node{} \u{2192} node{}", open.from, open.to),
                         "transfer",
@@ -321,241 +353,57 @@ pub fn chrome_trace_value(events: &[TimedEvent], other_data: &[(String, Value)])
             }
             Event::TransferRetried { id, attempt } => {
                 if let Some(open) = open_transfers.get(&id).copied() {
-                    instant(
-                        &mut out,
-                        &mut threads,
-                        at,
+                    let pid = node_pid(open.from);
+                    trace.track(pid, 0, "events");
+                    trace.records.push(base(
+                        "i",
                         "transfer_retry",
                         "transfer",
-                        open.from,
+                        us(at),
+                        pid,
+                        0,
                         vec![
-                            ("id", Value::U64(id)),
-                            ("attempt", Value::U64(attempt as u64)),
+                            ("s", Value::Str("p".to_owned())),
+                            args(vec![
+                                ("id", Value::U64(id)),
+                                ("attempt", Value::U64(attempt as u64)),
+                            ]),
                         ],
-                    );
+                    ));
                 }
             }
-            Event::HeartbeatArrived { node } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "heartbeat",
-                    "detector",
-                    node,
-                    vec![],
-                );
+            Event::ScrubCompleted { .. } => {
+                trace.track(CLUSTER_PID, REBUILDS_TID, "rebuilds");
+                trace.instant(us(at), CLUSTER_PID, REBUILDS_TID, event);
             }
-            Event::Suspected { node } | Event::Confirmed { node } | Event::Refuted { node } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    te.event.name(),
-                    "detector",
-                    node,
-                    vec![],
-                );
-            }
-            Event::FenceRaised { node, epoch } | Event::FenceReadmitted { node, epoch } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    te.event.name(),
-                    "fence",
-                    node,
-                    vec![("epoch", Value::U64(epoch))],
-                );
-            }
-            Event::ScrubCompleted {
-                verified,
-                corrupt,
-                repaired,
-            } => {
-                threads
-                    .entry((CLUSTER_PID, REBUILDS_TID))
-                    .or_insert_with(|| "rebuilds".to_owned());
-                out.push(base(
-                    "i",
-                    "scrub_completed",
-                    "scrub",
-                    us(at),
-                    CLUSTER_PID,
-                    REBUILDS_TID,
-                    vec![
-                        ("s", Value::Str("p".to_owned())),
-                        args(vec![
-                            ("verified", Value::U64(verified as u64)),
-                            ("corrupt", Value::U64(corrupt as u64)),
-                            ("repaired", Value::U64(repaired as u64)),
-                        ]),
-                    ],
-                ));
-            }
-            Event::CorruptionInjected { node, blocks } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "corruption_injected",
-                    "fault",
-                    node,
-                    vec![("blocks", Value::U64(blocks as u64))],
-                );
-            }
-            Event::DataLoss { node, group } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "data_loss",
-                    "loss",
-                    node,
-                    vec![("group", Value::U64(group as u64))],
-                );
-            }
-            Event::SessionEstablished { peer } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "session_established",
-                    "session",
-                    peer,
-                    vec![],
-                );
-            }
-            Event::SessionRejected {
-                peer,
-                required_epoch,
-            } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "session_rejected",
-                    "session",
-                    peer,
-                    vec![("required_epoch", Value::U64(required_epoch))],
-                );
-            }
-            Event::StaleDropped {
-                from,
-                held_epoch,
-                current_epoch,
-            } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "stale_dropped",
-                    "session",
-                    from,
-                    vec![
-                        ("held_epoch", Value::U64(held_epoch)),
-                        ("current_epoch", Value::U64(current_epoch)),
-                    ],
-                );
-            }
-            Event::PayloadDropped { from } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "payload_dropped",
-                    "payload",
-                    from,
-                    vec![],
-                );
-            }
-            Event::ResyncServed { peer } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "resync_served",
-                    "session",
-                    peer,
-                    vec![],
-                );
-            }
-            Event::FaultInjected { node, kind } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "fault_injected",
-                    "fault",
-                    node,
-                    vec![("kind", Value::Str(kind.to_owned()))],
-                );
-            }
-            Event::NodeHealed { node } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "node_healed",
-                    "fault",
-                    node,
-                    vec![],
-                );
-            }
-            Event::JobRestarted { node } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "job_restarted",
-                    "loss",
-                    node,
-                    vec![],
-                );
+            Event::HeartbeatArrived { node }
+            | Event::Suspected { node }
+            | Event::Confirmed { node }
+            | Event::Refuted { node }
+            | Event::FenceRaised { node, .. }
+            | Event::FenceReadmitted { node, .. }
+            | Event::CorruptionInjected { node, .. }
+            | Event::DataLoss { node, .. }
+            | Event::SessionEstablished { peer: node }
+            | Event::SessionRejected { peer: node, .. }
+            | Event::StaleDropped { from: node, .. }
+            | Event::PayloadDropped { from: node }
+            | Event::ResyncServed { peer: node }
+            | Event::FaultInjected { node, .. }
+            | Event::NodeHealed { node }
+            | Event::JobRestarted { node } => {
+                trace.instant(us(at), node_pid(node), 0, event);
             }
         }
     }
 
-    // Metadata records: name every process and track that appeared.
-    let mut meta: Vec<Value> = Vec::new();
-    let mut pids: Vec<u64> = threads.keys().map(|&(pid, _)| pid).collect();
-    pids.dedup();
-    for pid in pids {
-        let name = if pid == CLUSTER_PID {
-            "cluster".to_owned()
-        } else {
-            format!("node{}", pid - 1)
-        };
-        meta.push(obj(vec![
-            ("name", Value::Str("process_name".to_owned())),
-            ("ph", Value::Str("M".to_owned())),
-            ("pid", Value::U64(pid)),
-            ("tid", Value::U64(0)),
-            ("args", obj(vec![("name", Value::Str(name))])),
-        ]));
-    }
-    for (&(pid, tid), name) in &threads {
-        meta.push(obj(vec![
-            ("name", Value::Str("thread_name".to_owned())),
-            ("ph", Value::Str("M".to_owned())),
-            ("pid", Value::U64(pid)),
-            ("tid", Value::U64(tid)),
-            ("args", obj(vec![("name", Value::Str(name.clone()))])),
-        ]));
-    }
-    meta.append(&mut out);
-
-    Value::Object(vec![
-        ("traceEvents".to_owned(), Value::Array(meta)),
-        ("displayTimeUnit".to_owned(), Value::Str("ms".to_owned())),
-        ("otherData".to_owned(), Value::Object(other_data.to_vec())),
-    ])
+    trace.finish([], other_data.to_vec())
 }
 
 /// Renders the trace envelope as JSON text. `other_data` entries (RNG
 /// seed, config description, …) are embedded verbatim under `otherData`.
 pub fn chrome_trace(events: &[TimedEvent], other_data: &[(String, Value)]) -> String {
-    serde_json::to_string_pretty(&ValueWrap(chrome_trace_value(events, other_data)))
+    serde_json::to_string_pretty(&chrome_trace_value(events, other_data))
         .expect("rendering is total")
 }
 
@@ -736,162 +584,44 @@ pub fn merge_node_traces_value(tails: &[NodeTail], other_data: &[(String, Value)
     const REBUILDS: u64 = 1;
     const INSTANTS: u64 = 2;
 
-    let mut out: Vec<Value> = Vec::new();
-    let mut threads: BTreeMap<(u64, u64), String> = BTreeMap::new();
-
+    let mut trace = Trace::default();
     for tail in &sorted {
         let pid = node_pid(tail.node);
-        let rebase = |at: SimTime| Value::F64((at.as_secs() - tail.now.as_secs() + max_now) * 1e6);
-        let mut round_open = false;
-        let mut rebuild_open = false;
+        let rebase = |at: SimTime| (at.as_secs() - tail.now.as_secs() + max_now) * 1e6;
+        let mut rounds = SpanTrack::new(pid, ROUNDS, ROUND_TRACK);
+        let mut rebuilds = SpanTrack::new(pid, REBUILDS, REBUILD_TRACK);
         for te in &tail.events {
             let ts = rebase(te.at);
-            let arg_fields = event_args(&te.event);
-            match te.event {
-                Event::RoundBegin { epoch } => {
-                    if round_open {
-                        out.push(base("E", "", "round", ts.clone(), pid, ROUNDS, vec![]));
-                    }
-                    threads
-                        .entry((pid, ROUNDS))
-                        .or_insert_with(|| "rounds".to_owned());
-                    out.push(base(
-                        "B",
-                        &format!("round {epoch}"),
-                        "round",
-                        ts,
-                        pid,
-                        ROUNDS,
-                        vec![args(arg_fields)],
-                    ));
-                    round_open = true;
+            let event = &te.event;
+            let spanned = match *event {
+                Event::RoundBegin { .. } => {
+                    rounds.begin(&mut trace, ts, event);
+                    true
+                }
+                Event::RebuildBegin { .. } => {
+                    rebuilds.begin(&mut trace, ts, event);
+                    true
                 }
                 Event::RoundCommitted { .. } | Event::RoundAborted { .. } => {
-                    if round_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "round",
-                            ts,
-                            pid,
-                            ROUNDS,
-                            vec![args(arg_fields)],
-                        ));
-                        round_open = false;
-                    } else {
-                        // Begin fell out of the ring; keep the commit as
-                        // an instant rather than an unbalanced E.
-                        threads
-                            .entry((pid, INSTANTS))
-                            .or_insert_with(|| "events".to_owned());
-                        out.push(base(
-                            "i",
-                            te.event.name(),
-                            "round",
-                            ts,
-                            pid,
-                            INSTANTS,
-                            vec![("s", Value::Str("t".to_owned())), args(arg_fields)],
-                        ));
-                    }
-                }
-                Event::RebuildBegin { victim, mode, .. } => {
-                    if rebuild_open {
-                        out.push(base("E", "", "rebuild", ts.clone(), pid, REBUILDS, vec![]));
-                    }
-                    threads
-                        .entry((pid, REBUILDS))
-                        .or_insert_with(|| "rebuilds".to_owned());
-                    out.push(base(
-                        "B",
-                        &format!("rebuild node{victim} ({mode})"),
-                        "rebuild",
-                        ts,
-                        pid,
-                        REBUILDS,
-                        vec![args(arg_fields)],
-                    ));
-                    rebuild_open = true;
+                    rounds.end(&mut trace, ts, event)
                 }
                 Event::RebuildCompleted { .. } | Event::RebuildAborted { .. } => {
-                    if rebuild_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "rebuild",
-                            ts,
-                            pid,
-                            REBUILDS,
-                            vec![args(arg_fields)],
-                        ));
-                        rebuild_open = false;
-                    } else {
-                        threads
-                            .entry((pid, INSTANTS))
-                            .or_insert_with(|| "events".to_owned());
-                        out.push(base(
-                            "i",
-                            te.event.name(),
-                            "rebuild",
-                            ts,
-                            pid,
-                            INSTANTS,
-                            vec![("s", Value::Str("t".to_owned())), args(arg_fields)],
-                        ));
-                    }
+                    rebuilds.end(&mut trace, ts, event)
                 }
-                _ => {
-                    threads
-                        .entry((pid, INSTANTS))
-                        .or_insert_with(|| "events".to_owned());
-                    out.push(base(
-                        "i",
-                        te.event.name(),
-                        te.event.name(),
-                        ts,
-                        pid,
-                        INSTANTS,
-                        vec![("s", Value::Str("t".to_owned())), args(arg_fields)],
-                    ));
-                }
+                _ => false,
+            };
+            // Everything else — including an end whose begin fell out of
+            // the ring, which must not render as an unbalanced E — is an
+            // instant.
+            if !spanned {
+                trace.instant(ts, pid, INSTANTS, event);
             }
         }
         // Close any slice still open at the scrape instant at the ruler's
         // right edge, so in-flight rounds render with real extent.
-        let edge = Value::F64(max_now * 1e6);
-        if round_open {
-            out.push(base("E", "", "round", edge.clone(), pid, ROUNDS, vec![]));
-        }
-        if rebuild_open {
-            out.push(base("E", "", "rebuild", edge, pid, REBUILDS, vec![]));
-        }
+        rounds.close(&mut trace, max_now * 1e6);
+        rebuilds.close(&mut trace, max_now * 1e6);
     }
-
-    // Metadata: name each node's process lane and its tracks.
-    let mut meta: Vec<Value> = Vec::new();
-    for tail in &sorted {
-        let pid = node_pid(tail.node);
-        meta.push(obj(vec![
-            ("name", Value::Str("process_name".to_owned())),
-            ("ph", Value::Str("M".to_owned())),
-            ("pid", Value::U64(pid)),
-            ("tid", Value::U64(0)),
-            (
-                "args",
-                obj(vec![("name", Value::Str(format!("node{}", tail.node)))]),
-            ),
-        ]));
-    }
-    for (&(pid, tid), name) in &threads {
-        meta.push(obj(vec![
-            ("name", Value::Str("thread_name".to_owned())),
-            ("ph", Value::Str("M".to_owned())),
-            ("pid", Value::U64(pid)),
-            ("tid", Value::U64(tid)),
-            ("args", obj(vec![("name", Value::Str(name.clone()))])),
-        ]));
-    }
-    meta.append(&mut out);
 
     let mut other = other_data.to_vec();
     other.push((
@@ -903,34 +633,19 @@ pub fn merge_node_traces_value(tails: &[NodeTail], other_data: &[(String, Value)
                 .collect(),
         ),
     ));
-
-    Value::Object(vec![
-        ("traceEvents".to_owned(), Value::Array(meta)),
-        ("displayTimeUnit".to_owned(), Value::Str("ms".to_owned())),
-        ("otherData".to_owned(), Value::Object(other)),
-    ])
+    trace.finish(sorted.iter().map(|t| node_pid(t.node)), other)
 }
 
 /// [`merge_node_traces_value`] rendered as JSON text.
 pub fn merge_node_traces(tails: &[NodeTail], other_data: &[(String, Value)]) -> String {
-    serde_json::to_string_pretty(&ValueWrap(merge_node_traces_value(tails, other_data)))
+    serde_json::to_string_pretty(&merge_node_traces_value(tails, other_data))
         .expect("rendering is total")
-}
-
-/// The vendored `serde_json` renders through `Serialize`; `Value` itself
-/// does not implement it, so wrap.
-struct ValueWrap(Value);
-
-impl serde::Serialize for ValueWrap {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Recorder, TraceRecorder};
+    use crate::{Recorder, SyncRingRecorder};
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -938,7 +653,7 @@ mod tests {
 
     #[test]
     fn round_with_phases_nests_and_closes() {
-        let rec = TraceRecorder::unbounded();
+        let rec = SyncRingRecorder::unbounded();
         rec.record(t(1.0), &Event::RoundBegin { epoch: 3 });
         rec.record(
             t(1.0),
@@ -967,7 +682,7 @@ mod tests {
 
     #[test]
     fn transfer_becomes_complete_slice_with_duration() {
-        let rec = TraceRecorder::unbounded();
+        let rec = SyncRingRecorder::unbounded();
         rec.record(
             t(1.0),
             &Event::TransferLaunched {
@@ -1069,7 +784,7 @@ mod tests {
 
     #[test]
     fn instants_and_metadata_round_trip() {
-        let rec = TraceRecorder::unbounded();
+        let rec = SyncRingRecorder::unbounded();
         rec.record(t(0.5), &Event::Suspected { node: 4 });
         rec.record(t(0.6), &Event::Confirmed { node: 4 });
         rec.record(t(0.6), &Event::FenceRaised { node: 4, epoch: 1 });

@@ -11,23 +11,27 @@
 //! [`Event`] stamped with the simulated instant it happened at, fed
 //! through a [`Recorder`].
 //!
-//! The crate provides four recorders and two exporters:
+//! The crate provides four recorders, one metrics fold and two
+//! exporters:
 //!
 //! * [`NoopRecorder`] — the zero-cost default. Instrumented code asks
 //!   [`RecorderHandle::enabled`] before doing any work, so an
 //!   uninstrumented run pays one virtual call per *attachment*, not per
 //!   event.
-//! * [`TraceRecorder`] — an in-memory buffer, either unbounded (for
-//!   export) or a fixed-size ring (for attaching the last N events to a
-//!   chaos-failure report).
+//! * [`SyncRingRecorder`] — the one in-memory trace buffer, either
+//!   unbounded (for export) or a fixed-size ring (for attaching the last
+//!   N events to a chaos-failure report or a daemon's panic dump).
 //! * [`Fanout`] — broadcasts to several recorders (e.g. ring + auditor).
 //! * [`audit::InvariantAuditor`] — checks causal protocol invariants
 //!   online and accumulates violations instead of events.
+//! * [`metrics::EventMetrics`] — folds events into [`MetricsHub`]
+//!   counters and log₂ histograms. The simulator's metrics snapshot and
+//!   the live daemon's node plane both go through it, so a sim round and
+//!   a live round are measured with the same instruments and names.
 //! * [`chrome`] — renders a recorded timeline as Chrome trace-event JSON
 //!   (loadable in Perfetto / `chrome://tracing`).
-//! * [`metrics`] — folds a recorded timeline into a metrics snapshot
-//!   (counters + Welford summaries + histograms, per node / group /
-//!   phase) built on [`dvdc_simcore::stats`].
+//! * [`metrics::metrics_snapshot`] — a recorded timeline folded into a
+//!   fresh hub and rendered as JSON.
 //!
 //! All events carry primitive identifiers (`usize` node/VM/group
 //! indices, `u64` epochs and transfer handles, `&'static str` phase
@@ -37,11 +41,11 @@
 //! ## Example
 //!
 //! ```
-//! use dvdc_observe::{Event, RecorderHandle, TraceRecorder};
+//! use dvdc_observe::{Event, RecorderHandle, SyncRingRecorder};
 //! use dvdc_simcore::time::SimTime;
 //! use std::rc::Rc;
 //!
-//! let trace = Rc::new(TraceRecorder::unbounded());
+//! let trace = Rc::new(SyncRingRecorder::unbounded());
 //! let handle = RecorderHandle::new(trace.clone());
 //! handle.record(SimTime::from_secs(1.0), &Event::RoundBegin { epoch: 1 });
 //! handle.record(SimTime::from_secs(2.0), &Event::RoundCommitted { epoch: 1 });
@@ -65,10 +69,11 @@ pub use registry::{
     MetricsSnapshot, Stamp,
 };
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Deref;
 use std::rc::Rc;
+use std::sync::{Mutex, MutexGuard};
 
 use dvdc_simcore::time::SimTime;
 
@@ -117,14 +122,6 @@ pub struct TimedEvent {
     pub event: Event,
 }
 
-/// In-memory trace buffer: either unbounded (collect everything for
-/// export) or a fixed-capacity ring that keeps only the most recent
-/// events (attach the tail to a panic report).
-#[derive(Debug, Default)]
-pub struct TraceRecorder {
-    inner: RefCell<TraceBuf>,
-}
-
 #[derive(Debug, Default)]
 struct TraceBuf {
     events: VecDeque<TimedEvent>,
@@ -134,14 +131,6 @@ struct TraceBuf {
 }
 
 impl TraceBuf {
-    fn with_cap(cap: usize) -> Self {
-        assert!(cap > 0, "ring capacity must be positive");
-        TraceBuf {
-            cap: Some(cap),
-            ..TraceBuf::default()
-        }
-    }
-
     fn push(&mut self, at: SimTime, event: &Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -159,7 +148,19 @@ impl TraceBuf {
     }
 }
 
-impl TraceRecorder {
+/// The in-memory trace buffer: either unbounded (collect everything for
+/// export) or a fixed-capacity ring that keeps only the most recent
+/// events (attach the tail to a panic report).
+///
+/// A `Mutex` guards the buffer, so one type serves the single-threaded
+/// simulator (behind an `Rc`) and the multi-threaded `dvdc-node` daemon
+/// (behind an `Arc`, read by its panic hook while other threads record).
+#[derive(Debug, Default)]
+pub struct SyncRingRecorder {
+    inner: Mutex<TraceBuf>,
+}
+
+impl SyncRingRecorder {
     /// A buffer that keeps every event.
     pub fn unbounded() -> Self {
         Self::default()
@@ -171,19 +172,29 @@ impl TraceRecorder {
     /// # Panics
     /// Panics if `cap` is 0.
     pub fn ring(cap: usize) -> Self {
-        TraceRecorder {
-            inner: RefCell::new(TraceBuf::with_cap(cap)),
+        assert!(cap > 0, "ring capacity must be positive");
+        SyncRingRecorder {
+            inner: Mutex::new(TraceBuf {
+                cap: Some(cap),
+                ..TraceBuf::default()
+            }),
         }
+    }
+
+    /// The buffer, also after a poisoning panic — that is exactly when
+    /// the panic hook needs its events.
+    fn buf(&self) -> MutexGuard<'_, TraceBuf> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Snapshot of the buffered events, oldest first.
     pub fn events(&self) -> Vec<TimedEvent> {
-        self.inner.borrow().events.iter().cloned().collect()
+        self.buf().events.iter().cloned().collect()
     }
 
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        self.inner.borrow().events.len()
+        self.buf().events.len()
     }
 
     /// True if nothing has been recorded (or everything fell out of the
@@ -194,87 +205,18 @@ impl TraceRecorder {
 
     /// Events evicted from the ring (always 0 for unbounded buffers).
     pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
+        self.buf().dropped
     }
 
     /// Total events ever recorded, including evicted ones.
     pub fn recorded(&self) -> u64 {
-        self.inner.borrow().next_seq
-    }
-}
-
-impl Recorder for TraceRecorder {
-    fn record(&self, at: SimTime, event: &Event) {
-        self.inner.borrow_mut().push(at, event);
-    }
-}
-
-/// Thread-safe ring of recent events, for multi-threaded runtimes (the
-/// `dvdc-node` daemon) where the single-threaded [`TraceRecorder`]
-/// cannot be shared. A `Mutex` guards the buffer; the panic hook reads
-/// the tail through [`SyncRingRecorder::events`] even while other
-/// threads hold clones of the `Arc`.
-#[derive(Debug)]
-pub struct SyncRingRecorder {
-    inner: std::sync::Mutex<TraceBuf>,
-}
-
-impl SyncRingRecorder {
-    /// A ring that keeps only the most recent `cap` events.
-    ///
-    /// # Panics
-    /// Panics if `cap` is 0.
-    pub fn ring(cap: usize) -> Self {
-        SyncRingRecorder {
-            inner: std::sync::Mutex::new(TraceBuf::with_cap(cap)),
-        }
-    }
-
-    /// Snapshot of the buffered events, oldest first. Returns the
-    /// events recorded before a poisoning panic too — that is exactly
-    /// when the panic hook needs them.
-    pub fn events(&self) -> Vec<TimedEvent> {
-        let buf = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        buf.events.iter().cloned().collect()
-    }
-
-    /// Events evicted from the ring.
-    pub fn dropped(&self) -> u64 {
-        let buf = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        buf.dropped
-    }
-
-    /// Total events ever recorded, including evicted ones.
-    pub fn recorded(&self) -> u64 {
-        let buf = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        buf.next_seq
+        self.buf().next_seq
     }
 }
 
 impl Recorder for SyncRingRecorder {
     fn record(&self, at: SimTime, event: &Event) {
-        if let Ok(mut buf) = self.inner.lock() {
-            buf.push(at, event);
-        }
-    }
-}
-
-/// Anything a [`TraceDumpGuard`] (or a panic hook) can drain a trace
-/// tail from: the buffered events plus the evicted-count.
-pub trait TraceTail {
-    /// `(events oldest-first, number of older events dropped)`.
-    fn tail(&self) -> (Vec<TimedEvent>, u64);
-}
-
-impl TraceTail for Rc<TraceRecorder> {
-    fn tail(&self) -> (Vec<TimedEvent>, u64) {
-        (self.events(), self.dropped())
-    }
-}
-
-impl TraceTail for std::sync::Arc<SyncRingRecorder> {
-    fn tail(&self) -> (Vec<TimedEvent>, u64) {
-        (self.events(), self.dropped())
+        self.buf().push(at, event);
     }
 }
 
@@ -300,26 +242,25 @@ pub fn dump_tail(events: &[TimedEvent], dropped: u64, footer: &str) {
 /// Dumps the tail of a trace ring to stderr when the holding scope
 /// unwinds from a panic, so a failing run ships its last N protocol
 /// events alongside a repro line without re-running under tracing.
-/// Arms over any [`TraceTail`] source — `Rc<TraceRecorder>` in
-/// single-threaded chaos tests, `Arc<SyncRingRecorder>` in the daemon.
-pub struct TraceDumpGuard<S: TraceTail> {
-    trace: S,
+/// Holds the ring through any pointer to it — `Rc` in single-threaded
+/// chaos tests, `Arc` in the daemon.
+pub struct TraceDumpGuard<D: Deref<Target = SyncRingRecorder>> {
+    trace: D,
     footer: String,
 }
 
-impl<S: TraceTail> TraceDumpGuard<S> {
+impl<D: Deref<Target = SyncRingRecorder>> TraceDumpGuard<D> {
     /// Arms the guard; `footer` closes the dump (repro command,
     /// seed/epoch, ...).
-    pub fn new(trace: S, footer: String) -> Self {
+    pub fn new(trace: D, footer: String) -> Self {
         TraceDumpGuard { trace, footer }
     }
 }
 
-impl<S: TraceTail> Drop for TraceDumpGuard<S> {
+impl<D: Deref<Target = SyncRingRecorder>> Drop for TraceDumpGuard<D> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let (events, dropped) = self.trace.tail();
-            dump_tail(&events, dropped, &self.footer);
+            dump_tail(&self.trace.events(), self.trace.dropped(), &self.footer);
         }
     }
 }
@@ -421,7 +362,7 @@ mod tests {
 
     #[test]
     fn unbounded_buffer_keeps_order_and_seq() {
-        let rec = TraceRecorder::unbounded();
+        let rec = SyncRingRecorder::unbounded();
         rec.record(t(2.0), &Event::RoundBegin { epoch: 7 });
         rec.record(
             t(2.0),
@@ -442,7 +383,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_only_the_tail() {
-        let rec = TraceRecorder::ring(2);
+        let rec = SyncRingRecorder::ring(2);
         for epoch in 0..5 {
             rec.record(t(epoch as f64), &Event::RoundBegin { epoch });
         }
@@ -480,35 +421,27 @@ mod tests {
     }
 
     #[test]
-    fn trace_tail_reads_both_recorder_kinds() {
-        let rc = Rc::new(TraceRecorder::ring(1));
-        rc.record(t(1.0), &Event::RoundBegin { epoch: 1 });
-        rc.record(t(2.0), &Event::RoundBegin { epoch: 2 });
-        let (events, dropped) = rc.tail();
-        assert_eq!(events.len(), 1);
-        assert_eq!(dropped, 1);
-
-        let arc = std::sync::Arc::new(SyncRingRecorder::ring(4));
-        arc.record(t(1.0), &Event::Suspected { node: 2 });
-        let (events, dropped) = arc.tail();
-        assert_eq!(events.len(), 1);
-        assert_eq!(dropped, 0);
-    }
-
-    #[test]
     fn dump_guard_is_silent_without_a_panic() {
-        let trace = Rc::new(TraceRecorder::ring(4));
+        let trace = Rc::new(SyncRingRecorder::ring(4));
         trace.record(t(1.0), &Event::RoundBegin { epoch: 1 });
         let _guard = TraceDumpGuard::new(Rc::clone(&trace), "no panic".into());
         // Dropping outside a panic must not consume or disturb the trace.
         drop(_guard);
         assert_eq!(trace.len(), 1);
+        // The daemon arms the same guard type through an `Arc`.
+        let shared = std::sync::Arc::new(SyncRingRecorder::ring(4));
+        shared.record(t(1.0), &Event::Suspected { node: 2 });
+        drop(TraceDumpGuard::new(
+            std::sync::Arc::clone(&shared),
+            "no panic".into(),
+        ));
+        assert_eq!((shared.len(), shared.dropped()), (1, 0));
     }
 
     #[test]
     fn fanout_reaches_every_sink_and_reports_enabled() {
-        let a = Rc::new(TraceRecorder::unbounded());
-        let b = Rc::new(TraceRecorder::ring(1));
+        let a = Rc::new(SyncRingRecorder::unbounded());
+        let b = Rc::new(SyncRingRecorder::ring(1));
         let fan = RecorderHandle::new(Rc::new(Fanout::new(vec![
             RecorderHandle::new(a.clone()),
             RecorderHandle::new(b.clone()),

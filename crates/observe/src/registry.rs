@@ -1,9 +1,10 @@
-//! Wall-clock metrics registry for the live deployment.
+//! The metrics registry, shared by the live deployment and the
+//! simulator's metrics snapshot.
 //!
-//! The simulator folds a *recorded timeline* into metrics after the fact
-//! ([`crate::metrics`]); a live `dvdc-node` daemon cannot afford an
-//! unbounded event buffer and must answer "what is your round latency"
-//! while running. This module provides the deployment-side registry:
+//! A live `dvdc-node` daemon cannot afford an unbounded event buffer and
+//! must answer "what is your round latency" while running; the
+//! simulator folds a recorded timeline after the fact. Both record
+//! through [`crate::metrics::EventMetrics`] into this registry:
 //!
 //! * [`MetricsHub`] — a cheaply clonable handle, either live or a no-op.
 //!   Instrument sites resolve their [`Counter`]/[`Gauge`]/[`HistogramHandle`]
@@ -593,13 +594,7 @@ impl MetricsSnapshot {
 
     /// Pretty JSON.
     pub fn to_json(&self) -> String {
-        struct W(Value);
-        impl serde::Serialize for W {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        serde_json::to_string_pretty(&W(self.to_value())).expect("rendering is total")
+        serde_json::to_string_pretty(&self.to_value()).expect("rendering is total")
     }
 
     /// Human table: one line per metric. Histogram quantiles render in

@@ -14,9 +14,10 @@
 //! the deterministic sim driver uses.
 //!
 //! Loss model: sends to an unreachable peer are dropped after typed
-//! retry exhaustion. The protocol is built for exactly that (hellos and
-//! heartbeats repeat, rounds time out typed, fencing handles the rest) —
-//! it is the moral equivalent of TCP to a SIGKILLed process.
+//! retry exhaustion, each counted in `transport.frames_dropped`. The
+//! protocol is built for exactly that (hellos and heartbeats repeat,
+//! rounds time out typed, fencing handles the rest) — it is the moral
+//! equivalent of TCP to a SIGKILLed process.
 //!
 //! Trust model: the envelope's sender id is taken at face value, like
 //! the paper's single-administrative-domain cluster fabric. The control
@@ -287,6 +288,10 @@ impl NodeRuntime {
             bytes_out: hub.counter("transport.bytes_out"),
             peer_queues: BTreeMap::new(),
         };
+        // Every frame the runtime gives up on, whatever the reason: a
+        // peer in redial holdoff, an exhausted dial, a second write
+        // failure, or a send the transport refused outright.
+        let frames_dropped = hub.counter("transport.frames_dropped");
         let connects = hub.counter("transport.connects");
         let connect_retries = hub.counter("transport.connect_retries");
         let redials = hub.counter("transport.redials");
@@ -307,6 +312,7 @@ impl NodeRuntime {
                 connects: connects.clone(),
                 connect_retries: connect_retries.clone(),
                 redials: redials.clone(),
+                frames_dropped: frames_dropped.clone(),
                 queue,
             };
             let peer = *peer;
@@ -331,11 +337,10 @@ impl NodeRuntime {
                         // trace ring live out here beside it.
                         match incoming.msg {
                             Msg::MetricsReq => {
-                                let _ = transport.send(
-                                    config.id,
-                                    CTL,
-                                    Msg::MetricsResp(hub.snapshot()),
-                                );
+                                let resp = Msg::MetricsResp(hub.snapshot());
+                                if transport.send(config.id, CTL, resp).is_err() {
+                                    frames_dropped.inc();
+                                }
                                 continue;
                             }
                             Msg::TraceTailReq { max } => {
@@ -354,7 +359,9 @@ impl NodeRuntime {
                                     dropped,
                                     events,
                                 };
-                                let _ = transport.send(config.id, CTL, resp);
+                                if transport.send(config.id, CTL, resp).is_err() {
+                                    frames_dropped.inc();
+                                }
                                 continue;
                             }
                             _ => {}
@@ -369,7 +376,9 @@ impl NodeRuntime {
                         }
                     }
                     let actions = core.on_message(incoming.from, incoming.msg, now);
-                    for note in dispatch(&mut transport, config.id, actions).notes {
+                    let out = dispatch(&mut transport, config.id, actions);
+                    frames_dropped.add(out.failed.len() as u64);
+                    for note in out.notes {
                         on_note(now, &note);
                     }
                 }
@@ -380,7 +389,9 @@ impl NodeRuntime {
                 last_tick = Instant::now();
                 let now = clock.now();
                 let actions = core.on_tick(now);
-                for note in dispatch(&mut transport, config.id, actions).notes {
+                let out = dispatch(&mut transport, config.id, actions);
+                frames_dropped.add(out.failed.len() as u64);
+                for note in out.notes {
                     on_note(now, &note);
                 }
             }
@@ -475,6 +486,7 @@ struct WriterConfig {
     connects: Counter,
     connect_retries: Counter,
     redials: Counter,
+    frames_dropped: Counter,
     queue: Gauge,
 }
 
@@ -486,8 +498,9 @@ fn set_link(links: &Arc<Mutex<BTreeMap<NodeId, LinkState>>>, peer: NodeId, state
 
 /// Own the outbound socket to one peer: dial lazily, write queued
 /// frames, reconnect with jittered backoff on failure, hold off after
-/// exhaustion. Frames that cannot be delivered are dropped — the
-/// protocol retries at its own layer.
+/// exhaustion. Frames that cannot be delivered are dropped and counted
+/// in `transport.frames_dropped` — the protocol retries at its own
+/// layer.
 fn writer_loop(
     peer: NodeId,
     cfg: WriterConfig,
@@ -503,6 +516,7 @@ fn writer_loop(
         // dialing per frame.
         if let Some(until) = holdoff_until {
             if Instant::now() < until {
+                cfg.frames_dropped.inc();
                 continue;
             }
             holdoff_until = None;
@@ -529,11 +543,13 @@ fn writer_loop(
                         set_link(&links, peer, LinkState::Disconnected);
                         cfg.connect_retries.add(u64::from(attempts));
                         holdoff_until = Some(Instant::now() + cfg.redial_holdoff);
+                        cfg.frames_dropped.inc();
                         break; // drop this frame
                     }
                     Err(ConnectError::NoAttempts) => {
                         set_link(&links, peer, LinkState::Disconnected);
                         holdoff_until = Some(Instant::now() + cfg.redial_holdoff);
+                        cfg.frames_dropped.inc();
                         break; // drop this frame
                     }
                 }
@@ -548,6 +564,7 @@ fn writer_loop(
             stream = None;
             set_link(&links, peer, LinkState::Disconnected);
             if attempt == 1 {
+                cfg.frames_dropped.inc();
                 break; // second failure: drop the frame
             }
         }

@@ -12,9 +12,10 @@ use std::time::{Duration as StdDuration, Instant};
 
 use dvdc::protocol::node_core::{ClusterSpec, Msg, StatusView, CTL};
 use dvdc_faults::detector::DetectorConfig;
+use dvdc_observe::registry::MetricsHub;
 use dvdc_simcore::time::Duration;
 use dvdc_transport::frame::{read_frame, write_frame};
-use dvdc_transport::runtime::{NodeRuntime, RuntimeConfig};
+use dvdc_transport::runtime::{NodeRuntime, ObserveConfig, RuntimeConfig};
 use dvdc_transport::wire::{decode_envelope, encode_envelope};
 use dvdc_vcluster::ids::NodeId;
 
@@ -125,4 +126,43 @@ fn three_process_style_runtimes_commit_a_round_over_loopback() {
     for h in handles {
         h.join().expect("runtime thread join");
     }
+}
+
+#[test]
+fn frames_to_an_unreachable_peer_are_counted_as_dropped() {
+    // A port that was bound and released: nothing listens there, so
+    // every dial to it is refused.
+    let dead = TcpListener::bind("127.0.0.1:0")
+        .expect("bind")
+        .local_addr()
+        .expect("addr");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let spec = ClusterSpec {
+        data_nodes: 1,
+        ..spec()
+    };
+    let mut config = RuntimeConfig::new(NodeId(0), spec, vec![(NodeId(1), dead)], 0xD0D);
+    let hub = MetricsHub::new();
+    config.observe = ObserveConfig {
+        metrics: hub.clone(),
+        ring: None,
+    };
+    let stop = Arc::new(AtomicBool::new(false));
+    let handle = {
+        let stop = Arc::clone(&stop);
+        let runtime = NodeRuntime::new(config, listener);
+        std::thread::spawn(move || runtime.run(stop, |_, _| {}).expect("runtime run"))
+    };
+
+    // Hellos and heartbeats repeat every 50 ms; each one is shed.
+    let dropped = hub.counter("transport.frames_dropped");
+    let deadline = Instant::now() + StdDuration::from_secs(10);
+    while dropped.get() == 0 {
+        assert!(Instant::now() < deadline, "no frame was counted as dropped");
+        std::thread::sleep(StdDuration::from_millis(20));
+    }
+    assert!(hub.snapshot().counter("transport.frames_dropped").unwrap() > 0);
+
+    stop.store(true, Ordering::Relaxed);
+    handle.join().expect("runtime thread join");
 }

@@ -24,7 +24,7 @@ use dvdc::protocol::{
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::{ClusterFaultPlan, NodeFault, PeerSet, PlanCursor};
 use dvdc_observe::audit::InvariantAuditor;
-use dvdc_observe::{Fanout, Recorder, RecorderHandle, TraceDumpGuard, TraceRecorder};
+use dvdc_observe::{Fanout, Recorder, RecorderHandle, SyncRingRecorder, TraceDumpGuard};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::{Cluster, ClusterBuilder, TopologySpec};
@@ -357,7 +357,7 @@ fn chaos_run(
     // (the causal-ordering checks run online, against the live stream)
     // and a 64-event trace ring whose tail the panic guard dumps next
     // to the seed-repro command.
-    let trace = Rc::new(TraceRecorder::ring(64));
+    let trace = Rc::new(SyncRingRecorder::ring(64));
     let audit = Rc::new(InvariantAuditor::new());
     protocol.set_recorder(RecorderHandle::new(Rc::new(Fanout::new(vec![
         RecorderHandle::new(trace.clone()),
@@ -815,7 +815,7 @@ fn auditor_flags_injected_ordering_violation() {
         .build(7);
     let placement = GroupPlacement::orthogonal_with_parity(&cluster, 3, 1).unwrap();
     let mut protocol = DvdcProtocol::new(placement);
-    let trace = Rc::new(TraceRecorder::unbounded());
+    let trace = Rc::new(SyncRingRecorder::unbounded());
     protocol.set_recorder(RecorderHandle::new(trace.clone()));
     protocol.run_round(&mut cluster).unwrap();
 

@@ -8,6 +8,8 @@
 //! kill → detect → fence → rebuild → resync → readmit arc is tier-1
 //! testable in milliseconds of wall time.
 
+use std::collections::BTreeSet;
+
 use dvdc::protocol::node_core::{fnv64, Action, ClusterSpec, Msg, NodeCore, Note, CTL};
 use dvdc::protocol::transport::{SimNet, Transport};
 use dvdc_faults::detector::DetectorConfig;
@@ -22,6 +24,20 @@ struct Sim {
     notes: Vec<(NodeId, Note)>,
     now: SimTime,
     tick: Duration,
+    hold: Option<HeldRoundBegin>,
+}
+
+/// A coordinator `RoundBegin` held back from one parity holder until
+/// every data source's `Payload` for that round has reached the holder —
+/// the order real TCP produces when the payloads' connections win the
+/// race, which `SimNet`'s per-destination FIFO never does on its own.
+struct HeldRoundBegin {
+    holder: NodeId,
+    /// The intercepted `(sender, RoundBegin)`, until released.
+    held: Option<(NodeId, Msg)>,
+    /// Sources whose payload for the held round reached the holder.
+    arrived: BTreeSet<NodeId>,
+    released: bool,
 }
 
 impl Sim {
@@ -36,6 +52,7 @@ impl Sim {
             now: SimTime::ZERO,
             tick: Duration::from_millis(1.0),
             spec,
+            hold: None,
         }
     }
 
@@ -47,6 +64,15 @@ impl Sim {
         for action in actions {
             match action {
                 Action::Send { to, msg } => {
+                    if let Some(hold) = self.hold.as_mut() {
+                        if to == hold.holder
+                            && !hold.released
+                            && matches!(msg, Msg::RoundBegin { .. })
+                        {
+                            hold.held = Some((id, msg));
+                            continue;
+                        }
+                    }
                     // Sends to dead peers fail typed — expected during the
                     // detection window, never a panic.
                     let _ = self.net.send(id, to, msg);
@@ -70,13 +96,38 @@ impl Sim {
                 let Some(node) = self.nodes[i].as_mut() else {
                     break;
                 };
+                if let (Some(hold), Msg::Payload { source, .. }) = (self.hold.as_mut(), &msg) {
+                    if hold.holder == id && hold.held.is_some() {
+                        hold.arrived.insert(*source);
+                    }
+                }
                 let actions = node.on_message(from, msg, self.now);
                 self.apply(id, actions);
             }
+            self.release_held_round_begin();
             if let Some(node) = self.nodes[i].as_mut() {
                 let actions = node.on_tick(self.now);
                 self.apply(id, actions);
             }
+        }
+    }
+
+    /// Sends the held `RoundBegin` on once every source it names has
+    /// delivered its payload to the holder.
+    fn release_held_round_begin(&mut self) {
+        let Some(hold) = self.hold.as_mut() else {
+            return;
+        };
+        let ready = match &hold.held {
+            Some((_, Msg::RoundBegin { sources, .. })) => {
+                sources.iter().all(|s| hold.arrived.contains(s))
+            }
+            _ => false,
+        };
+        if ready {
+            let (from, msg) = hold.held.take().expect("held message");
+            hold.released = true;
+            let _ = self.net.send(from, hold.holder, msg);
         }
     }
 
@@ -341,4 +392,37 @@ fn three_failures_exceed_m2_and_surface_typed_data_loss() {
     // A round cannot start with an unrebuildable member — typed, no hang.
     let err = run_checkpoint(&mut sim, 0, 1000.0).expect_err("round must fail");
     assert!(err.contains("not yet rebuilt"), "got: {err}");
+}
+
+#[test]
+fn payloads_that_overtake_round_begin_are_held_and_folded() {
+    let mut sim = Sim::new(spec_k3_m2());
+    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
+
+    // Parity holder 4 sees every data payload of round 1 before the
+    // coordinator's RoundBegin reaches it.
+    sim.hold = Some(HeldRoundBegin {
+        holder: NodeId(4),
+        held: None,
+        arrived: BTreeSet::new(),
+        released: false,
+    });
+    let epoch = run_checkpoint(&mut sim, 0, 2000.0).expect("the round commits");
+    assert_eq!(epoch, 1);
+    let hold = sim.hold.take().expect("hold armed");
+    assert!(hold.released, "RoundBegin was released after the payloads");
+    assert_eq!(
+        hold.arrived.len(),
+        3,
+        "every data source's payload came first"
+    );
+    let dropped: Vec<_> = sim
+        .notes
+        .iter()
+        .filter(|(_, n)| matches!(n, Note::PayloadDropped { .. }))
+        .collect();
+    assert!(dropped.is_empty(), "payloads dropped: {dropped:?}");
+    for i in 0..5 {
+        assert_eq!(sim.node(i).status().committed_epoch, 1, "node{i}");
+    }
 }

@@ -12,7 +12,7 @@ use dvdc::protocol::{
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::{ClusterFaultPlan, DetectorConfig, NodeFault, PlanCursor};
 use dvdc_observe::audit::InvariantAuditor;
-use dvdc_observe::{Event, Fanout, RecorderHandle, TraceRecorder};
+use dvdc_observe::{Event, Fanout, RecorderHandle, SyncRingRecorder};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::{Cluster, ClusterBuilder};
@@ -647,7 +647,7 @@ fn rack_kill_matrix_confirms_every_rack_node_and_recovers() {
         let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 1).unwrap();
         assert!(placement.is_rack_orthogonal(&c), "{ctx}");
         let audit = Rc::new(InvariantAuditor::new());
-        let trace = Rc::new(TraceRecorder::unbounded());
+        let trace = Rc::new(SyncRingRecorder::unbounded());
         let mut p = DvdcProtocol::new(placement).with_recorder(RecorderHandle::new(Rc::new(
             Fanout::new(vec![
                 RecorderHandle::new(trace.clone()),

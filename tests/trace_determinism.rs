@@ -14,7 +14,7 @@ use dvdc_faults::dist::Exponential;
 use dvdc_faults::injector::FaultInjector;
 use dvdc_observe::chrome::chrome_trace;
 use dvdc_observe::metrics::metrics_snapshot;
-use dvdc_observe::{RecorderHandle, TraceRecorder};
+use dvdc_observe::{RecorderHandle, SyncRingRecorder};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::ClusterBuilder;
@@ -38,7 +38,7 @@ fn traced_job(seed: u64) -> (String, String, usize) {
     .plan(Duration::from_secs(600.0 * 20.0), &hub);
     let runner = JobRunner::new(Duration::from_secs(600.0), Duration::from_secs(30.0));
 
-    let buf = Rc::new(TraceRecorder::unbounded());
+    let buf = Rc::new(SyncRingRecorder::unbounded());
     let recorder = RecorderHandle::new(buf.clone());
     let mut p = DvdcProtocol::new(placement).with_recorder(recorder.clone());
     runner
